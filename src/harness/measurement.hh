@@ -58,8 +58,6 @@ struct IterationSample
     double timeMs = 0.0;
     /** Noise-free simulated cycle count for the iteration. */
     uint64_t simCycles = 0;
-    /** Host wall-clock nanoseconds (informational only). */
-    uint64_t wallNanos = 0;
     /** Per-iteration perf-counter deltas. */
     uarch::CounterSet counters;
 };

@@ -1,8 +1,9 @@
 /**
  * @file
- * Flat execution profiling: run one VM invocation of a workload with
- * a profiling observer and aggregate its dynamic bytecode stream into
- * a per-opcode profile plus hot branch / allocation site tables.
+ * Flat execution profiling: run one VM invocation of a workload and
+ * turn its dynamic bytecode stream into a per-opcode profile (from
+ * the VM's own per-opcode counters) plus hot branch / allocation site
+ * tables (from a site observer).
  *
  * This is the "Explain" instrument of the Measure-Explain-Test-
  * Improve loop: when a timing result surprises, the profile shows

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -14,7 +13,6 @@
 #include "support/interrupt.hh"
 #include "support/logging.hh"
 #include "vm/compiler.hh"
-#include "vm/metrics_observer.hh"
 
 namespace rigor {
 namespace harness {
@@ -95,6 +93,7 @@ runOneInvocation(const vm::Program &prog,
     icfg.hashSeed = deriveSeed(inv_seed, 2, 0);
     icfg.aslrSeed = deriveSeed(inv_seed, 3, 0);
     icfg.captureOutput = false;
+    icfg.trace = tr;
 
     uarch::PerfModelConfig ucfg = config.uarch;
     if (config.tier == vm::Tier::Threaded) {
@@ -102,19 +101,25 @@ runOneInvocation(const vm::Program &prog,
         ucfg.dispatchHistoryOps = kThreadedDispatchHistoryOps;
     }
 
+    // The uarch model is the VM's only observer. The vm.<tier>.*
+    // totals are derived from the counts the VM and the model already
+    // keep, once per attempt, on every exit: an aborted attempt's
+    // work was done too.
     uarch::PerfModel model(ucfg);
-    // The uarch model is the only observer on plain runs; metrics /
-    // trace runs multiplex a MetricsObserver alongside it.
-    vm::MetricsObserver mobs(
-        metrics, strprintf("vm.%s", vm::tierName(config.tier)), tr);
-    vm::MultiplexObserver mux;
-    vm::ExecutionObserver *observer = &model;
-    if (metrics || tr) {
-        mux.add(&model);
-        mux.add(&mobs);
-        observer = &mux;
-    }
-    vm::Interp interp(prog, icfg, observer);
+    vm::Interp interp(prog, icfg, &model);
+    struct VmTotals
+    {
+        MetricsRegistry *metrics;
+        vm::Tier tier;
+        const vm::Interp &interp;
+        const uarch::PerfModel &model;
+        ~VmTotals()
+        {
+            if (metrics)
+                recordVmTotals(*metrics, tier, interp.stats(),
+                               model.snapshot());
+        }
+    } totals{metrics, config.tier, interp, model};
     interp.runModule();
 
     NoiseModel noise(config.noise, inv_seed);
@@ -132,10 +137,8 @@ runOneInvocation(const vm::Program &prog,
             args.set("index", it);
             tr->beginSpan("iteration", "harness", std::move(args));
         }
-        auto wall_start = std::chrono::steady_clock::now();
         vm::Value r =
             interp.callGlobal("run", {vm::Value::makeInt(size)});
-        auto wall_end = std::chrono::steady_clock::now();
 
         int64_t checksum = r.isInt()
             ? r.asInt()
@@ -161,10 +164,6 @@ runOneInvocation(const vm::Program &prog,
             config.cyclesPerMs * noise.nextIterationFactor();
         if (fault)
             sample.timeMs *= FaultInjector::timeFactor(*fault, it);
-        sample.wallNanos = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                wall_end - wall_start)
-                .count());
         elapsed_ms += sample.timeMs;
         // The modelled clock advances even when the deadline check
         // below aborts: the aborted iteration's time did pass.
@@ -591,6 +590,27 @@ extendParallel(const workloads::WorkloadSpec &spec,
 }
 
 } // namespace
+
+void
+recordVmTotals(MetricsRegistry &metrics, vm::Tier tier,
+               const vm::InterpStats &vm_stats,
+               const uarch::CounterSet &counters)
+{
+    std::string prefix = strprintf("vm.%s.", vm::tierName(tier));
+    auto add = [&](const char *name, uint64_t n) {
+        metrics.counter(prefix + name).inc(n);
+    };
+    add("bytecodes", counters.bytecodes);
+    add("uops", vm_stats.uops - vm_stats.jitCompileUops);
+    add("dispatches", counters.dispatches);
+    add("branches", counters.branches);
+    add("allocations", counters.allocations);
+    add("allocated_bytes", counters.allocatedBytes);
+    add("calls", vm_stats.calls);
+    add("jit_compiles", vm_stats.jitCompiles);
+    add("jit_compile_uops", vm_stats.jitCompileUops);
+    add("guard_failures", vm_stats.guardFailures);
+}
 
 RunResult
 runExperiment(const workloads::WorkloadSpec &spec,

@@ -103,9 +103,10 @@ struct RunnerConfig
     /**
      * Optional metrics destination (not owned). When set, the harness
      * records invocation/iteration durations and retry / quarantine /
-     * fault counts under "harness.*", and a MetricsObserver is
-     * multiplexed onto the VM so per-tier execution totals land under
-     * "vm.<tier>.*". See docs/OBSERVABILITY.md for the schema.
+     * fault counts under "harness.*", and each invocation attempt's
+     * VM execution totals, derived at attempt end from the VM's and
+     * the uarch model's own counts, under "vm.<tier>.*". See
+     * docs/OBSERVABILITY.md for the schema.
      */
     MetricsRegistry *metrics = nullptr;
     /**
@@ -149,6 +150,19 @@ struct RunnerConfig
      */
     std::function<void(const RunResult &)> onProgress;
 };
+
+/**
+ * Add one VM invocation attempt's execution totals to the ten
+ * "vm.<tier>.*" counters of `metrics` (registered even when zero).
+ * Each count has one owner: the uarch model's counters give
+ * bytecodes, dispatches, branches and allocations (with unrounded
+ * sizes); the VM's give uops (compile work excluded), calls, compiles
+ * and guard failures. The runner calls this on every exit from an
+ * attempt, aborted ones included.
+ */
+void recordVmTotals(MetricsRegistry &metrics, vm::Tier tier,
+                    const vm::InterpStats &vm_stats,
+                    const uarch::CounterSet &counters);
 
 /**
  * Run the full experiment design for one workload.

@@ -736,23 +736,6 @@ runSuiteJob(JobEnv &env)
     return kExitSuccess;
 }
 
-/** Flush the --metrics / --trace files after the job finished. */
-void
-writeObservability(const JobEnv &env)
-{
-    if (env.metrics && !env.spec.metricsPath.empty()) {
-        atomicWriteFile(env.spec.metricsPath,
-                        env.metrics->toJson().dump(2) + "\n");
-        env.out("wrote %s\n", env.spec.metricsPath.c_str());
-    }
-    if (env.trace && !env.spec.tracePath.empty()) {
-        env.trace->endSpansTo(0);
-        atomicWriteFile(env.spec.tracePath,
-                        env.trace->toJson().dump(1) + "\n");
-        env.out("wrote %s\n", env.spec.tracePath.c_str());
-    }
-}
-
 } // namespace
 
 Json
@@ -873,6 +856,23 @@ writeRunArtifacts(const JobSpec &spec, const harness::RunResult &run,
     }
 }
 
+void
+writeObservability(MetricsRegistry *metrics, TraceEmitter *trace,
+                   const std::string &metricsPath,
+                   const std::string &tracePath,
+                   const std::function<void(const std::string &)> &out)
+{
+    if (metrics && !metricsPath.empty()) {
+        atomicWriteFile(metricsPath, metrics->toJson().dump(2) + "\n");
+        out(strprintf("wrote %s\n", metricsPath.c_str()));
+    }
+    if (trace && !tracePath.empty()) {
+        trace->endSpansTo(0);
+        atomicWriteFile(tracePath, trace->toJson().dump(1) + "\n");
+        out(strprintf("wrote %s\n", tracePath.c_str()));
+    }
+}
+
 int
 executeJob(const JobSpec &spec, const JobHooks &hooks)
 {
@@ -904,7 +904,8 @@ executeJob(const JobSpec &spec, const JobHooks &hooks)
                                      : runRunJob(env);
     // Partial artifacts are flushed even after an interrupt, so what
     // was measured is never lost.
-    writeObservability(env);
+    writeObservability(env.metrics, env.trace, spec.metricsPath,
+                       spec.tracePath, hooks.output);
     return rc;
 }
 

@@ -123,6 +123,17 @@ void writeRunArtifacts(const JobSpec &spec,
                        const std::function<void(const std::string &)>
                            &out);
 
+/**
+ * Flush the --metrics / --trace files after a command finished (the
+ * trace's open spans are closed first), with a "wrote PATH" line per
+ * file through `out`. A null sink or an empty path writes nothing.
+ */
+void writeObservability(MetricsRegistry *metrics, TraceEmitter *trace,
+                        const std::string &metricsPath,
+                        const std::string &tracePath,
+                        const std::function<void(const std::string &)>
+                            &out);
+
 } // namespace serve
 } // namespace rigor
 

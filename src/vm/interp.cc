@@ -6,6 +6,7 @@
 
 #include "support/logging.hh"
 #include "support/rng.hh"
+#include "support/trace.hh"
 
 namespace rigor {
 namespace vm {
@@ -244,6 +245,37 @@ Interp::emitMem(uint64_t addr, uint32_t size, bool write)
         obs->onMemAccess(addr, size, write);
 }
 
+void
+Interp::chargeCompile(const CodeObject *code, uint64_t cost)
+{
+    ++stats_.jitCompiles;
+    stats_.uops += cost;
+    stats_.jitCompileUops += cost;
+    if (obs)
+        obs->onJitCompile(code->codeId, cost);
+    if (cfg.trace) {
+        Json args = Json::object();
+        args.set("code_id", static_cast<int64_t>(code->codeId));
+        args.set("cost_uops", static_cast<int64_t>(cost));
+        cfg.trace->instant("jit_compile", "vm", std::move(args));
+    }
+}
+
+void
+Interp::guardFailed(Op op)
+{
+    ++stats_.guardFailures;
+    ++stats_.perOpGuards[static_cast<size_t>(op)];
+    if (obs)
+        obs->onGuardFailure(op);
+    if (cfg.trace && deoptInstants < kMaxDeoptInstants) {
+        ++deoptInstants;
+        Json args = Json::object();
+        args.set("op", opName(op));
+        cfg.trace->instant("deopt", "vm", std::move(args));
+    }
+}
+
 Interp::CodeRuntime &
 Interp::runtimeFor(const CodeObject *code)
 {
@@ -286,17 +318,6 @@ Value
 Interp::callValue(const Value &callee, std::vector<Value> args)
 {
     ++stats_.calls;
-    if (obs)
-        obs->onCall();
-    struct ReturnNotify
-    {
-        ExecutionObserver *obs;
-        ~ReturnNotify()
-        {
-            if (obs)
-                obs->onReturn();
-        }
-    } notify{obs};
 
     if (!callee.isObj())
         throw VmError("'" + callee.typeName() + "' is not callable");
@@ -1095,13 +1116,7 @@ Interp::jitCompile(const CodeObject *code, CodeRuntime &rt)
         }
     }
     rt.compiled = true;
-    ++stats_.jitCompiles;
-    uint64_t cost =
-        cfg.jitCompileUopsPerInstr * code->instrs.size();
-    stats_.uops += cost;
-    stats_.jitCompileUops += cost;
-    if (obs)
-        obs->onJitCompile(code->codeId, cost);
+    chargeCompile(code, cfg.jitCompileUopsPerInstr * code->instrs.size());
 }
 
 void
@@ -1166,12 +1181,7 @@ Interp::threadedQuicken(const CodeObject *code, CodeRuntime &rt)
     // Quickening is a linear pass, not a compile: charge a few uops
     // per instruction through the jit counters so warmup analyses see
     // the (small) tier-up cost.
-    ++stats_.jitCompiles;
-    uint64_t cost = cfg.quickenUopsPerInstr * code->instrs.size();
-    stats_.uops += cost;
-    stats_.jitCompileUops += cost;
-    if (obs)
-        obs->onJitCompile(code->codeId, cost);
+    chargeCompile(code, cfg.quickenUopsPerInstr * code->instrs.size());
 }
 
 /*
@@ -1538,10 +1548,7 @@ Interp::evalFrame(Frame &frame)
                 push(Value::makeFloat(r));
                 uops += 1;
             } else {
-                ++stats_.guardFailures;
-                ++stats_.perOpGuards[static_cast<size_t>(op)];
-                if (obs)
-                    obs->onGuardFailure(op);
+                guardFailed(op);
                 Op generic = op == Op::AddIntInt ? Op::BinaryAdd
                     : op == Op::SubIntInt        ? Op::BinarySub
                                                  : Op::BinaryMul;
@@ -1563,10 +1570,7 @@ Interp::evalFrame(Frame &frame)
                                                    : x * y;
                 push(Value::makeFloat(r));
             } else {
-                ++stats_.guardFailures;
-                ++stats_.perOpGuards[static_cast<size_t>(op)];
-                if (obs)
-                    obs->onGuardFailure(op);
+                guardFailed(op);
                 Op generic = op == Op::AddFloatFloat ? Op::BinaryAdd
                     : op == Op::SubFloatFloat        ? Op::BinarySub
                                                      : Op::BinaryMul;
@@ -1628,10 +1632,7 @@ Interp::evalFrame(Frame &frame)
                 }
                 push(Value::makeBool(r));
             } else {
-                ++stats_.guardFailures;
-                ++stats_.perOpGuards[static_cast<size_t>(op)];
-                if (obs)
-                    obs->onGuardFailure(op);
+                guardFailed(op);
                 Op generic;
                 switch (op) {
                   case Op::CompareLtIntInt: generic = Op::CompareLt;
@@ -1717,10 +1718,7 @@ Interp::evalFrame(Frame &frame)
                 static_cast<IteratorObj *>(stack.back().asObj());
             if (op == Op::ForIterRange &&
                 iter->source != IteratorObj::Source::Range) {
-                ++stats_.guardFailures;
-                ++stats_.perOpGuards[static_cast<size_t>(op)];
-                if (obs)
-                    obs->onGuardFailure(op);
+                guardFailed(op);
                 uops = opBaseUops(Op::ForIter) + 2;
             }
             Value next;
@@ -1947,10 +1945,7 @@ Interp::evalFrame(Frame &frame)
                     static_cast<uint64_t>(a.asInt()) +
                     static_cast<uint64_t>(b.asInt()))));
             } else {
-                ++stats_.guardFailures;
-                ++stats_.perOpGuards[static_cast<size_t>(op)];
-                if (obs)
-                    obs->onGuardFailure(op);
+                guardFailed(op);
                 uops = opBaseUops(Op::LoadFast) +
                     opBaseUops(Op::BinaryAdd) + 4;
                 push(binaryOp(Op::BinaryAdd, a, b));

@@ -24,6 +24,9 @@
 #include "vm/value.hh"
 
 namespace rigor {
+
+class TraceEmitter;
+
 namespace vm {
 
 /** Which runtime tier executes the program. */
@@ -45,6 +48,14 @@ const char *tierName(Tier t);
  * @throws FatalError on an unknown name.
  */
 Tier tierFromName(const std::string &name);
+
+/**
+ * Deopt trace instants one Interp emits at most. Guard failures can
+ * number in the millions; an instant per deopt would dwarf the rest
+ * of the trace, so only the first few become instants (the counters
+ * still see every one).
+ */
+constexpr uint64_t kMaxDeoptInstants = 64;
 
 /** Configuration of one VM invocation. */
 struct InterpConfig
@@ -86,6 +97,13 @@ struct InterpConfig
     int maxCallDepth = 800;
     /** If true, print() output is appended to Interp::output. */
     bool captureOutput = true;
+    /**
+     * Optional trace sink (not owned). When set, the VM emits a
+     * `jit_compile` instant per compiled/quickened code object and a
+     * `deopt` instant for each of the first kMaxDeoptInstants guard
+     * failures, timestamped at the modelled clock's current position.
+     */
+    TraceEmitter *trace = nullptr;
 };
 
 /** Dynamic-execution counters maintained by the VM. */
@@ -256,6 +274,10 @@ class Interp
 
     /** Account one executed bytecode to counters and the observer. */
     void accountBytecode(Op op, uint32_t uops, bool dispatched);
+    /** Charge one code object's compile/quickening cost. */
+    void chargeCompile(const CodeObject *code, uint64_t cost);
+    /** Account one specialization-guard failure of `op`. */
+    void guardFailed(Op op);
     void emitBranch(const Frame &frame, size_t pc, bool taken);
     void emitMem(uint64_t addr, uint32_t size, bool write);
 
@@ -263,6 +285,8 @@ class Interp
     InterpConfig cfg;
     ExecutionObserver *obs;
     InterpStats stats_;
+    /** Deopt trace instants emitted so far (capped). */
+    uint64_t deoptInstants = 0;
 
     DictObj *globalsDict = nullptr;
     DictObj *builtinsDict = nullptr;

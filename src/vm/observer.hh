@@ -6,15 +6,15 @@
  * their micro-op cost, conditional branches, simulated memory
  * accesses, allocations, interpreter dispatches) to an observer. The
  * microarchitecture model implements this interface to derive cycles,
- * IPC, branch MPKI and cache MPKI; the instruction-mix profiler
- * implements it to classify the dynamic bytecode stream.
+ * IPC, branch MPKI and cache MPKI; the profiler implements it to
+ * attribute branches and allocations to bytecode sites. The VM takes
+ * a single observer: each event is one virtual call.
  */
 
 #ifndef RIGOR_VM_OBSERVER_HH
 #define RIGOR_VM_OBSERVER_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "vm/code.hh"
 
@@ -24,6 +24,11 @@ namespace vm {
 /**
  * Observer of the VM's dynamic execution. All callbacks have empty
  * default implementations so observers override only what they need.
+ * The defaults are defined out of line (observer.cc) on purpose: with
+ * an inline empty body as the only implementation the VM can see,
+ * g++ speculatively devirtualizes every hot-loop observer call to it,
+ * a compare-and-branch the uarch model (the observer of every
+ * measured run) then pays on each event.
  */
 class ExecutionObserver
 {
@@ -36,12 +41,7 @@ class ExecutionObserver
      * @param uops micro-ops this bytecode expanded to, including any
      *        interpreter dispatch overhead.
      */
-    virtual void
-    onBytecode(Op op, uint32_t uops)
-    {
-        (void)op;
-        (void)uops;
-    }
+    virtual void onBytecode(Op op, uint32_t uops);
 
     /**
      * Interpreter dispatch: the indirect branch selecting the next
@@ -50,23 +50,14 @@ class ExecutionObserver
      * dispatch.
      * @param op the opcode being dispatched to.
      */
-    virtual void
-    onDispatch(Op op)
-    {
-        (void)op;
-    }
+    virtual void onDispatch(Op op);
 
     /**
      * A conditional branch resolved.
      * @param site static branch site id (unique per bytecode pc).
      * @param taken branch outcome.
      */
-    virtual void
-    onBranch(uint64_t site, bool taken)
-    {
-        (void)site;
-        (void)taken;
-    }
+    virtual void onBranch(uint64_t site, bool taken);
 
     /**
      * Instruction fetch for the code implementing this bytecode.
@@ -75,28 +66,13 @@ class ExecutionObserver
      * per-(code object, pc) region, giving the JIT a much larger
      * instruction footprint.
      */
-    virtual void
-    onCodeFetch(uint64_t addr)
-    {
-        (void)addr;
-    }
+    virtual void onCodeFetch(uint64_t addr);
 
     /** A simulated data-memory access. */
-    virtual void
-    onMemAccess(uint64_t addr, uint32_t size, bool is_write)
-    {
-        (void)addr;
-        (void)size;
-        (void)is_write;
-    }
+    virtual void onMemAccess(uint64_t addr, uint32_t size, bool is_write);
 
     /** A heap object allocated at the simulated address. */
-    virtual void
-    onAlloc(uint64_t addr, uint32_t size)
-    {
-        (void)addr;
-        (void)size;
-    }
+    virtual void onAlloc(uint64_t addr, uint32_t size);
 
     /**
      * Bytecode-site attribution of an allocation (profiling).
@@ -104,135 +80,17 @@ class ExecutionObserver
      *        same encoding branch sites use; 0 when the allocation
      *        happened outside bytecode execution (VM setup).
      */
-    virtual void
-    onAllocSite(uint64_t site, uint32_t size)
-    {
-        (void)site;
-        (void)size;
-    }
-
-    /** Entering a MiniPy function call. */
-    virtual void onCall() {}
-    /** Returning from a MiniPy function call. */
-    virtual void onReturn() {}
+    virtual void onAllocSite(uint64_t site, uint32_t size);
 
     /**
      * The adaptive tier compiled a code object (modelled compile
      * pause) or the threaded tier quickened one up-front;
      * `cost_uops` is the modelled compilation/quickening work.
      */
-    virtual void
-    onJitCompile(uint32_t code_id, uint64_t cost_uops)
-    {
-        (void)code_id;
-        (void)cost_uops;
-    }
+    virtual void onJitCompile(uint32_t code_id, uint64_t cost_uops);
 
     /** A specialization guard failed (deoptimization to generic path). */
-    virtual void
-    onGuardFailure(Op op)
-    {
-        (void)op;
-    }
-};
-
-/**
- * Fans the event stream out to several observers (e.g. the uarch
- * model plus a MetricsObserver). The VM takes a single observer
- * pointer; runs that want more than one attach them here and pass the
- * multiplexer. Only constructed when more than one sink is active, so
- * single-observer runs pay no extra virtual hop.
- */
-class MultiplexObserver : public ExecutionObserver
-{
-  public:
-    /** Attach a sink (not owned; must outlive the multiplexer). */
-    void
-    add(ExecutionObserver *observer)
-    {
-        if (observer)
-            sinks.push_back(observer);
-    }
-
-    void
-    onBytecode(Op op, uint32_t uops) override
-    {
-        for (auto *s : sinks)
-            s->onBytecode(op, uops);
-    }
-
-    void
-    onDispatch(Op op) override
-    {
-        for (auto *s : sinks)
-            s->onDispatch(op);
-    }
-
-    void
-    onBranch(uint64_t site, bool taken) override
-    {
-        for (auto *s : sinks)
-            s->onBranch(site, taken);
-    }
-
-    void
-    onCodeFetch(uint64_t addr) override
-    {
-        for (auto *s : sinks)
-            s->onCodeFetch(addr);
-    }
-
-    void
-    onMemAccess(uint64_t addr, uint32_t size, bool is_write) override
-    {
-        for (auto *s : sinks)
-            s->onMemAccess(addr, size, is_write);
-    }
-
-    void
-    onAlloc(uint64_t addr, uint32_t size) override
-    {
-        for (auto *s : sinks)
-            s->onAlloc(addr, size);
-    }
-
-    void
-    onAllocSite(uint64_t site, uint32_t size) override
-    {
-        for (auto *s : sinks)
-            s->onAllocSite(site, size);
-    }
-
-    void
-    onCall() override
-    {
-        for (auto *s : sinks)
-            s->onCall();
-    }
-
-    void
-    onReturn() override
-    {
-        for (auto *s : sinks)
-            s->onReturn();
-    }
-
-    void
-    onJitCompile(uint32_t code_id, uint64_t cost_uops) override
-    {
-        for (auto *s : sinks)
-            s->onJitCompile(code_id, cost_uops);
-    }
-
-    void
-    onGuardFailure(Op op) override
-    {
-        for (auto *s : sinks)
-            s->onGuardFailure(op);
-    }
-
-  private:
-    std::vector<ExecutionObserver *> sinks;
+    virtual void onGuardFailure(Op op);
 };
 
 } // namespace vm

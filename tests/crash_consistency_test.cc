@@ -164,8 +164,9 @@ TEST(CrashSweep, WriteStateFileYieldsPreOrPostState)
         EXPECT_TRUE(got == pre || got == post)
             << "crash point " << n << " recovered a third state: "
             << got;
-        if (rc == 0)
+        if (rc == 0) {
             EXPECT_EQ(got, post) << "completed write lost data";
+        }
     }
     EXPECT_TRUE(completed)
         << "writeStateFile made more than " << kSweepCap
@@ -219,9 +220,10 @@ TEST(CrashSweep, ArchiveAppendRecoversToPreOrPostState)
             EXPECT_EQ(ar.load(scan.entries[1]).runs[0].workload,
                       "post");
         }
-        if (rc == 0)
+        if (rc == 0) {
             EXPECT_EQ(scan.entries.size(), 2u)
                 << "completed append lost its entry";
+        }
     }
     EXPECT_TRUE(completed)
         << "archive append made more than " << kSweepCap

@@ -30,17 +30,23 @@ cmake --build build-nocg -j "$jobs" --target rigorbench
 echo "== parallel determinism (--jobs 4 vs --jobs 1, every tier) =="
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+# The stall run aborts one attempt past its deadline, so the abort
+# path's vm.<tier>.* totals and trace instants are diffed too. The
+# checksum run goes last: its j1.json is the cross-mechanism baseline.
 for tier in interp adaptive threaded; do
-    for n in 1 4; do
-        ./build/tools/rigorbench run nbody --tier "$tier" \
-            --invocations 6 --iterations 5 \
-            --jobs "$n" --inject checksum:inv=2:n=1 \
-            --json "$tmp/j$n.json" --metrics "$tmp/m$n.json" \
-            --trace "$tmp/t$n.json" --quiet >/dev/null 2>&1
+    for fault in "stall:inv=1:n=1 --deadline-ms 10" "checksum:inv=2:n=1"; do
+        for n in 1 4; do
+            # shellcheck disable=SC2086  # $fault carries two flags
+            ./build/tools/rigorbench run nbody --tier "$tier" \
+                --invocations 6 --iterations 5 \
+                --jobs "$n" --inject $fault \
+                --json "$tmp/j$n.json" --metrics "$tmp/m$n.json" \
+                --trace "$tmp/t$n.json" --quiet >/dev/null 2>&1
+        done
+        cmp "$tmp/j1.json" "$tmp/j4.json"
+        cmp "$tmp/m1.json" "$tmp/m4.json"
+        cmp "$tmp/t1.json" "$tmp/t4.json"
     done
-    cmp "$tmp/j1.json" "$tmp/j4.json"
-    cmp "$tmp/m1.json" "$tmp/m4.json"
-    cmp "$tmp/t1.json" "$tmp/t4.json"
     # ... and across the dispatch mechanisms.
     ./build-nocg/tools/rigorbench run nbody --tier "$tier" \
         --invocations 6 --iterations 5 \

@@ -653,6 +653,13 @@ makeConfig(const Options &opt, vm::Tier tier,
         opt.metrics, opt.trace);
 }
 
+/** Output hook for the engine's report and "wrote PATH" lines. */
+void
+printChunk(const std::string &chunk)
+{
+    std::fwrite(chunk.data(), 1, chunk.size(), stdout);
+}
+
 void
 printEstimate(const harness::RunResult &run)
 {
@@ -755,9 +762,7 @@ runLocalJob(const Options &opt)
     serve::JobSpec spec =
         specFromOptions(opt, opt.command, opt.workload);
     serve::JobHooks hooks;
-    hooks.output = [](const std::string &chunk) {
-        std::fwrite(chunk.data(), 1, chunk.size(), stdout);
-    };
+    hooks.output = printChunk;
     return serve::executeJob(spec, hooks);
 }
 
@@ -825,9 +830,7 @@ cmdSequential(const Options &opt,
     }
     serve::writeRunArtifacts(
         specFromOptions(opt, opt.command, opt.workload), res.run,
-        [](const std::string &line) {
-            std::fputs(line.c_str(), stdout);
-        });
+        printChunk);
     if (res.run.interrupted)
         return kExitInterrupted;
     return res.run.invocations.empty() ? kExitFailure
@@ -1028,23 +1031,6 @@ cmdCancel(const Options &opt)
             parseInt("cancel", opt.workload.c_str(), 0)));
 }
 
-/** Flush --metrics / --trace files after the command finished. */
-void
-writeObservability(const Options &opt)
-{
-    if (opt.metrics && !opt.metricsPath.empty()) {
-        atomicWriteFile(opt.metricsPath,
-                        opt.metrics->toJson().dump(2) + "\n");
-        std::printf("wrote %s\n", opt.metricsPath.c_str());
-    }
-    if (opt.trace && !opt.tracePath.empty()) {
-        opt.trace->endSpansTo(0);
-        atomicWriteFile(opt.tracePath,
-                        opt.trace->toJson().dump(1) + "\n");
-        std::printf("wrote %s\n", opt.tracePath.c_str());
-    }
-}
-
 /**
  * Commands whose measurement/observability sinks the shared execution
  * engine owns (serve::executeJob creates and flushes them itself, on
@@ -1155,7 +1141,9 @@ main(int argc, char **argv)
         // Partial artifacts are flushed even after an interrupt, so
         // what was measured is never lost.
         if (ownSinks)
-            writeObservability(opt);
+            serve::writeObservability(
+                opt.metrics, opt.trace, opt.metricsPath,
+                opt.tracePath, printChunk);
         // stdout itself is an artifact consumers parse; a full disk
         // or closed pipe must be a loud failure, not silence.
         if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
