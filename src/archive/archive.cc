@@ -14,6 +14,7 @@
 #include "support/logging.hh"
 #include "support/schema.hh"
 #include "support/str.hh"
+#include "support/table.hh"
 
 namespace fs = std::filesystem;
 
@@ -355,6 +356,62 @@ RunArchive::prune(int keep)
         ++removed;
     }
     return removed;
+}
+
+std::string
+renderArchiveList(const std::string &dir, const ScanResult &scan)
+{
+    Table t({"id", "label", "command", "runs", "profile", "bytes",
+             "fingerprint"});
+    for (const auto &e : scan.entries) {
+        // Every run profiled, some, or none (legacy v1).
+        const char *profile = e.profileCount == 0 ? "no"
+            : e.profileCount >= e.runCount      ? "yes"
+                                                : "partial";
+        t.addRow({std::to_string(e.id), e.label.empty() ? "-" : e.label,
+                  e.command, std::to_string(e.runCount), profile,
+                  fmtCount(e.sizeBytes), e.fingerprint});
+    }
+    std::string out = t.render();
+    out += strprintf("%zu entr%s in %s", scan.entries.size(),
+                     scan.entries.size() == 1 ? "y" : "ies",
+                     dir.c_str());
+    if (!scan.quarantined.empty())
+        out += strprintf(", %zu quarantined this scan",
+                         scan.quarantined.size());
+    if (scan.quarantinedPresent > 0)
+        out += strprintf(", %d quarantined file(s) present "
+                         "(see 'rigorbench fsck')",
+                         scan.quarantinedPresent);
+    return out + "\n";
+}
+
+Json
+archiveListToJson(const std::string &dir, const ScanResult &scan)
+{
+    Json doc = Json::object();
+    doc.set("schema", kArchiveListSchema);
+    doc.set("version", kArchiveListVersion);
+    doc.set("archive", dir);
+    Json entries = Json::array();
+    for (const auto &e : scan.entries) {
+        Json j = Json::object();
+        j.set("id", e.id);
+        j.set("label", e.label);
+        j.set("command", e.command);
+        j.set("runs", e.runCount);
+        j.set("profiles", e.profileCount);
+        j.set("bytes", static_cast<int64_t>(e.sizeBytes));
+        j.set("fingerprint", e.fingerprint);
+        Json tiers = Json::array();
+        for (const auto &tier : e.tiers)
+            tiers.push(tier);
+        j.set("tiers", std::move(tiers));
+        entries.push(std::move(j));
+    }
+    doc.set("entries", std::move(entries));
+    doc.set("quarantined_present", scan.quarantinedPresent);
+    return doc;
 }
 
 } // namespace archive

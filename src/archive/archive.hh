@@ -166,6 +166,16 @@ class RunArchive
     std::string dir_;
 };
 
+/**
+ * The `archive list` table (one row per entry; the "profile" column
+ * says whether `explain` can attribute it) and its summary line.
+ */
+std::string renderArchiveList(const std::string &dir,
+                              const ScanResult &scan);
+
+/** The machine-readable listing (kArchiveListSchema). */
+Json archiveListToJson(const std::string &dir, const ScanResult &scan);
+
 } // namespace archive
 } // namespace rigor
 

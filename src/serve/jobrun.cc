@@ -1,14 +1,16 @@
 /**
  * @file
- * Job execution (moved from tools/rigorbench.cc so the daemon and the
- * one-shot CLI share one code path — see jobrun.hh). The bodies are
- * deliberately unchanged where possible: every output byte and every
- * checkpoint byte is part of the compatibility contract with state
- * files and test goldens written before the move.
+ * Job execution and archive queries (moved from tools/rigorbench.cc
+ * so the daemon and the one-shot CLI share one code path — see
+ * jobrun.hh). The bodies are deliberately unchanged where possible:
+ * every output byte and every checkpoint byte is part of the
+ * compatibility contract with state files and test goldens written
+ * before the move.
  */
 
 #include "serve/jobrun.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstdarg>
 #include <deque>
@@ -26,6 +28,7 @@
 #include "harness/fault.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
+#include "harness/sequential.hh"
 #include "support/durable_io.hh"
 #include "support/interrupt.hh"
 #include "support/logging.hh"
@@ -343,58 +346,6 @@ finishWorkloadState(harness::SuiteWorkloadState &ws,
     ws.threadedSpeedup = harness::rigorousSpeedup(interp, threaded);
 }
 
-/**
- * Measure one workload on every suite tier. Degrades gracefully:
- * failures and quarantines are recorded in the returned state instead
- * of propagating, so one broken workload cannot sink the suite.
- */
-SuiteStep
-runSuiteWorkload(const workloads::WorkloadSpec &w, const JobEnv &env,
-                 SuiteCheckpointer *ckpt)
-{
-    SuiteStep step;
-    step.ws.name = w.name;
-    if (ckpt)
-        ckpt->beginWorkload(w.name);
-    try {
-        // Deque, not vector: setTierDone keeps a pointer into the
-        // container, so earlier runs must not move when later tiers
-        // are appended.
-        std::deque<harness::RunResult> runs;
-        for (vm::Tier tier : kSuiteTiers) {
-            if (ckpt)
-                ckpt->beginTier(tier);
-            runs.push_back(harness::runExperiment(
-                w, suiteRunConfig(env, tier, ckpt)));
-            if (runs.back().interrupted) {
-                step.interrupted = true;
-                return step;
-            }
-            if (ckpt)
-                ckpt->setTierDone(&runs.back());
-        }
-        if (ckpt)
-            ckpt->endWorkload();
-        finishWorkloadState(step.ws, runs[0], runs[1], runs[2]);
-        if (!env.spec.archiveDir.empty())
-            for (auto &r : runs)
-                step.runs.push_back(std::move(r));
-    } catch (const FatalError &) {
-        // Infrastructure failure (a checkpoint write died on a full
-        // disk, say), not a workload failure: recording it as
-        // "workload failed" would let the suite carry on without the
-        // durability the user asked for. Abort loudly instead.
-        throw;
-    } catch (const std::exception &e) {
-        if (ckpt)
-            ckpt->endWorkload();
-        logTraced(env, LogLevel::Warn, "workload %s failed: %s",
-                  w.name.c_str(), e.what());
-        step.ws.failed = true;
-    }
-    return step;
-}
-
 /** A checkpointed run is done once every slot ran (or quarantine). */
 bool
 runComplete(const harness::RunResult &run, const JobSpec &spec)
@@ -426,17 +377,20 @@ ensureWorkloadSpanOpen(const JobEnv &env,
 }
 
 /**
- * Continue the workload a checkpoint left in flight. The partial
- * run(s) come from the checkpoint's in_progress record; invocation
- * seeds are pure functions of (seed, slot, attempt), so extending the
- * restored run reproduces exactly what the uninterrupted run would
- * have measured — estimates, metrics and trace come out
- * byte-identical.
+ * Measure one workload on every suite tier, continuing whatever
+ * partial run(s) a checkpoint left in flight: `ip` is the
+ * checkpoint's in_progress record, or null for a fresh workload.
+ * Invocation seeds are pure functions of (seed, slot, attempt), so
+ * extending a restored run reproduces exactly what the uninterrupted
+ * run would have measured — estimates, metrics and trace come out
+ * byte-identical. Degrades gracefully: failures and quarantines are
+ * recorded in the returned state instead of propagating, so one
+ * broken workload cannot sink the suite.
  */
 SuiteStep
-resumeSuiteWorkload(const workloads::WorkloadSpec &w,
-                    const JobEnv &env, SuiteCheckpointer *ckpt,
-                    const Json &ip)
+measureSuiteWorkload(const workloads::WorkloadSpec &w,
+                     const JobEnv &env, SuiteCheckpointer *ckpt,
+                     const Json &ip)
 {
     SuiteStep step;
     step.ws.name = w.name;
@@ -453,7 +407,9 @@ resumeSuiteWorkload(const workloads::WorkloadSpec &w,
     if (ckpt)
         ckpt->beginWorkload(w.name);
     try {
-        // Deque for pointer stability, as in runSuiteWorkload.
+        // Deque, not vector: setTierDone keeps a pointer into the
+        // container, so earlier runs must not move when later tiers
+        // are appended.
         std::deque<harness::RunResult> runs;
         for (size_t i = 0; i < kSuiteTierCount; ++i) {
             vm::Tier tier = kSuiteTiers[i];
@@ -499,9 +455,16 @@ resumeSuiteWorkload(const workloads::WorkloadSpec &w,
         if (ckpt)
             ckpt->endWorkload();
         finishWorkloadState(step.ws, runs[0], runs[1], runs[2]);
+        // --archive excludes --resume, so archived runs are never
+        // restored ones.
+        if (!env.spec.archiveDir.empty())
+            for (auto &r : runs)
+                step.runs.push_back(std::move(r));
     } catch (const FatalError &) {
-        // As in runSuiteWorkload: a dead checkpoint write must stop
-        // the suite, not degrade to a "failed" workload.
+        // Infrastructure failure (a checkpoint write died on a full
+        // disk, say), not a workload failure: recording it as
+        // "workload failed" would let the suite carry on without the
+        // durability the user asked for. Abort loudly instead.
         throw;
     } catch (const std::exception &e) {
         if (ckpt)
@@ -529,6 +492,65 @@ runRunJob(JobEnv &env)
     if (!env.spec.archiveDir.empty())
         archiveAppend(env, {run});
     return kExitSuccess;
+}
+
+/**
+ * `compare <workload>`: the workload on the interp and adaptive
+ * tiers, then the rigorous speedup of adaptive over interp.
+ */
+int
+runCompareJob(JobEnv &env)
+{
+    auto interp = harness::runExperiment(
+        env.spec.workload, makeConfig(env, vm::Tier::Interp));
+    if (interp.interrupted) {
+        env.out("%s", renderEstimate(interp).c_str());
+        return kExitInterrupted;
+    }
+    auto jit = harness::runExperiment(
+        env.spec.workload, makeConfig(env, vm::Tier::Adaptive));
+    env.out("%s", renderEstimate(interp).c_str());
+    env.out("%s", renderEstimate(jit).c_str());
+    if (jit.interrupted)
+        return kExitInterrupted;
+    if (interp.invocations.empty() || jit.invocations.empty())
+        return kExitFailure;
+    auto s = harness::rigorousSpeedup(interp, jit);
+    env.out("speedup (adaptive over interp): %s %s\n",
+            harness::formatCi(s.ci, 3).c_str(),
+            s.significant ? "(significant)" : "(not significant)");
+    return kExitSuccess;
+}
+
+/**
+ * `sequential <workload>`: add invocations until the CI reaches
+ * spec.targetPct (at least 8, or --invocations when larger, is the
+ * budget).
+ */
+int
+runSequentialJob(JobEnv &env)
+{
+    harness::SequentialConfig seq;
+    seq.targetRelativeHalfWidth = env.spec.targetPct / 100.0;
+    seq.maxInvocations = std::max(env.spec.invocations, 8);
+    auto res = harness::runSequential(
+        env.spec.workload, makeConfig(env, env.spec.tier), seq);
+    const harness::RunResult &run = res.run;
+    env.out("%s", renderEstimate(run).c_str());
+    if (!run.invocations.empty() && !run.interrupted) {
+        env.out("  sequential: %s after %d invocations "
+                "(target ±%.1f%%)\n",
+                res.converged ? "converged" : "budget exhausted",
+                res.invocationsUsed, env.spec.targetPct);
+        std::string widths;
+        for (double w : res.widthTrajectory)
+            widths += strprintf(" %.2f%%", 100.0 * w);
+        env.out("  width trajectory:%s\n", widths.c_str());
+    }
+    dumpOutputs(env, run);
+    if (run.interrupted)
+        return kExitInterrupted;
+    return run.invocations.empty() ? kExitFailure : kExitSuccess;
 }
 
 int
@@ -614,15 +636,13 @@ runSuiteJob(JobEnv &env)
             interrupted = true;
             break;
         }
-        SuiteStep step;
+        Json ip;
         if (!inProgress.isNull() &&
             inProgress.at("name").asString() == w.name) {
-            Json ip = std::move(inProgress);
+            ip = std::move(inProgress);
             inProgress = Json();
-            step = resumeSuiteWorkload(w, env, ckpt.get(), ip);
-        } else {
-            step = runSuiteWorkload(w, env, ckpt.get());
         }
+        SuiteStep step = measureSuiteWorkload(w, env, ckpt.get(), ip);
         if (step.interrupted) {
             // The final checkpoint was already written at the commit
             // boundary that observed the interrupt (with the partial
@@ -856,23 +876,6 @@ writeRunArtifacts(const JobSpec &spec, const harness::RunResult &run,
     }
 }
 
-void
-writeObservability(MetricsRegistry *metrics, TraceEmitter *trace,
-                   const std::string &metricsPath,
-                   const std::string &tracePath,
-                   const std::function<void(const std::string &)> &out)
-{
-    if (metrics && !metricsPath.empty()) {
-        atomicWriteFile(metricsPath, metrics->toJson().dump(2) + "\n");
-        out(strprintf("wrote %s\n", metricsPath.c_str()));
-    }
-    if (trace && !tracePath.empty()) {
-        trace->endSpansTo(0);
-        atomicWriteFile(tracePath, trace->toJson().dump(1) + "\n");
-        out(strprintf("wrote %s\n", tracePath.c_str()));
-    }
-}
-
 int
 executeJob(const JobSpec &spec, const JobHooks &hooks)
 {
@@ -890,6 +893,22 @@ executeJob(const JobSpec &spec, const JobHooks &hooks)
     for (const auto &s : spec.injectSpecs)
         plan.add(s);
     harness::FaultInjector injector(plan, spec.seed);
+    // io:* faults arm on durable-I/O calls, not invocations, so they
+    // go into the process-wide FsOps seam for the whole job, the
+    // artifact flush included. The daemon rejects them at admission,
+    // so concurrent jobs never share the seam.
+    harness::FaultyFsOps faultyFs(plan.ioFaults, spec.seed);
+    struct FsOpsScope
+    {
+        bool installed;
+        FsOps *prev;
+        ~FsOpsScope()
+        {
+            if (installed)
+                setFsOps(prev);
+        }
+    } fsScope{!plan.ioFaults.empty(),
+              plan.ioFaults.empty() ? nullptr : setFsOps(&faultyFs)};
 
     MetricsRegistry metrics;
     TraceEmitter trace;
@@ -900,12 +919,22 @@ executeJob(const JobSpec &spec, const JobHooks &hooks)
         env.trace = &trace;
     env.faults = plan.empty() ? nullptr : &injector;
 
-    int rc = spec.command == "suite" ? runSuiteJob(env)
-                                     : runRunJob(env);
+    int rc = spec.command == "suite"      ? runSuiteJob(env)
+        : spec.command == "compare"    ? runCompareJob(env)
+        : spec.command == "sequential" ? runSequentialJob(env)
+                                       : runRunJob(env);
     // Partial artifacts are flushed even after an interrupt, so what
     // was measured is never lost.
-    writeObservability(env.metrics, env.trace, spec.metricsPath,
-                       spec.tracePath, hooks.output);
+    if (env.metrics) {
+        atomicWriteFile(spec.metricsPath,
+                        metrics.toJson().dump(2) + "\n");
+        env.out("wrote %s\n", spec.metricsPath.c_str());
+    }
+    if (env.trace) {
+        trace.endSpansTo(0);
+        atomicWriteFile(spec.tracePath, trace.toJson().dump(1) + "\n");
+        env.out("wrote %s\n", spec.tracePath.c_str());
+    }
     return rc;
 }
 

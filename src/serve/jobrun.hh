@@ -5,8 +5,10 @@
  *
  * Everything that turns a JobSpec into measurements and artifacts —
  * runner configuration, the resume-config fingerprint, the suite
- * loop with its checkpointer, archive appends, report rendering —
- * lives here, moved out of tools/rigorbench.cc. The CLI calls
+ * loop with its checkpointer, the one-shot `compare <workload>` and
+ * `sequential` bodies, the metrics/trace sinks, archive appends,
+ * report rendering — lives here, moved out of tools/rigorbench.cc.
+ * The CLI calls
  * executeJob with an output hook that writes to stdout; the daemon
  * calls the *same function* on a worker thread with hooks that stream
  * the output and progress to subscribed clients. That shared path is
@@ -65,8 +67,11 @@ struct JobHooks
 };
 
 /**
- * Execute a run/suite job: measure, render the report through
- * hooks.output, write every requested artifact.
+ * Execute a job: measure, render the report through hooks.output,
+ * write every requested artifact. This is the only owner of a job's
+ * metrics registry, trace emitter and fault injectors; `io:*` faults
+ * are installed into the process-wide FsOps seam for the job's
+ * duration (the daemon rejects them at admission).
  * @return the exit code the one-shot CLI would have returned
  * (kExitSuccess, kExitFailure, or kExitInterrupted).
  * @throws FatalError for configuration errors (unknown workload,
@@ -104,11 +109,7 @@ Json configJson(const JobSpec &spec);
 /** Render the estimate block `run`/`compare` print per run. */
 std::string renderEstimate(const harness::RunResult &run);
 
-/**
- * Runner configuration for one (spec, tier) measurement. Exposed so
- * the CLI's non-queueable commands (`sequential`, the one-shot
- * `compare`) share the exact config mapping queued jobs use.
- */
+/** Runner configuration for one (spec, tier) measurement. */
 harness::RunnerConfig
 makeRunnerConfig(const JobSpec &spec, vm::Tier tier,
                  const harness::FaultInjector *faults,
@@ -122,17 +123,6 @@ void writeRunArtifacts(const JobSpec &spec,
                        const harness::RunResult &run,
                        const std::function<void(const std::string &)>
                            &out);
-
-/**
- * Flush the --metrics / --trace files after a command finished (the
- * trace's open spans are closed first), with a "wrote PATH" line per
- * file through `out`. A null sink or an empty path writes nothing.
- */
-void writeObservability(MetricsRegistry *metrics, TraceEmitter *trace,
-                        const std::string &metricsPath,
-                        const std::string &tracePath,
-                        const std::function<void(const std::string &)>
-                            &out);
 
 } // namespace serve
 } // namespace rigor

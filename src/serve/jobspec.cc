@@ -167,9 +167,9 @@ querySpecFromJson(const Json &j)
               q.kind.c_str());
     q.baseRef = j.at("base").asString();
     q.candRef = j.at("cand").asString();
+    // A missing archive_dir is runQuery's to reject, as it is for a
+    // local query, so both paths exit alike.
     q.archiveDir = j.at("archive_dir").asString();
-    if (q.archiveDir.empty())
-        fatal("query spec: archive_dir is required");
     q.resamples = intField(j, "resamples", 10);
     q.confidence = j.at("confidence").asDouble();
     if (q.confidence <= 0.0 || q.confidence >= 1.0)

@@ -28,14 +28,18 @@
 namespace rigor {
 namespace serve {
 
-/** One queueable measurement job ("run" or "suite"). */
+/**
+ * One measurement job: "run" or "suite" (the commands the daemon
+ * queues), or the one-shot CLI's "compare" (interp vs adaptive on one
+ * workload) and "sequential" (run until the CI is tight).
+ */
 struct JobSpec
 {
-    /** "run" (one workload, one tier) or "suite" (all x all). */
+    /** "run", "suite", "compare" or "sequential". */
     std::string command = "run";
-    /** Workload name ("run" only; ignored for "suite"). */
+    /** Workload name (every command but "suite"). */
     std::string workload;
-    /** Tier to measure ("run" only). */
+    /** Tier to measure ("run" and "sequential"). */
     vm::Tier tier = vm::Tier::Interp;
 
     int invocations = 8;
@@ -50,6 +54,11 @@ struct JobSpec
     double deadlineMs = 0.0;
     /** Raw --inject specs (measurement and io:* families). */
     std::vector<std::string> injectSpecs;
+    /**
+     * "sequential" only: target relative CI half-width, in percent.
+     * Not part of the wire format (the daemon admits run|suite).
+     */
+    double targetPct = 2.0;
 
     // Artifact destinations ("" = not requested).
     std::string jsonPath;

@@ -7,8 +7,9 @@
 # configuration run at a shell; two clients submit overlapping suites
 # that both come back byte-identical to the one-shot reference; an
 # archive query (compare) is answered over the socket while jobs are
-# in flight; admission control rejects io:* fault injection with the
-# documented exit code; and a SIGTERM drain (exit 3) followed by
+# in flight (and a malformed one exits as it does locally); admission
+# control rejects io:* fault injection with the documented exit code;
+# and a SIGTERM drain (exit 3) followed by
 # `serve --resume` completes the interrupted job with the same report
 # an uninterrupted run produces.
 #
@@ -141,6 +142,16 @@ job_b=$(echo "$out_b" | sed -n 's/^submitted job #//p')
     fail "compare over the socket failed (rc=$?)"
 grep -q "queens" "$WORK/compare.txt" ||
     fail "remote compare output names no workload"
+# A malformed query exits alike locally and through the daemon: the
+# missing --archive is the query engine's to reject (exit 2).
+for where in local remote; do
+    sock=()
+    [ "$where" = remote ] && sock=(--socket "$SOCK")
+    "$BIN" compare 1 2 "${sock[@]}" >/dev/null 2>&1
+    rc=$?
+    [ "$rc" -eq 2 ] ||
+        fail "$where compare without --archive exited $rc (want 2)"
+done
 
 # Admission control: io:* faults are rejected with exit 8.
 "$BIN" submit run queens --inject io:enospc --socket "$SOCK" \

@@ -80,4 +80,8 @@ echo "== serve daemon smoke (multi-tenant byte-identity, drain) =="
 bash tests/serve_smoke_test.sh ./build/tools/rigorbench
 bash tests/serve_smoke_test.sh ./build-asan/tools/rigorbench
 
+echo "== cli commands smoke (compare/sequential, per-command flags) =="
+bash tests/cli_commands_test.sh ./build/tools/rigorbench
+bash tests/cli_commands_test.sh ./build-asan/tools/rigorbench
+
 echo "all checks passed"

@@ -1,174 +1,24 @@
 /**
  * @file
- * rigorbench — command-line front end to the framework.
- *
- *   rigorbench list
- *   rigorbench env
- *   rigorbench version
- *   rigorbench disasm <workload>
- *   rigorbench run <workload> [options]
- *   rigorbench compare <workload> [options]
- *   rigorbench compare <baseline> <candidate> --archive DIR
- *   rigorbench sequential <workload> [options]
- *   rigorbench profile <workload> [options]
- *   rigorbench suite [options]
- *   rigorbench gate <baseline> [<candidate>] --archive DIR
- *   rigorbench explain <baseline> <candidate> --archive DIR
- *   rigorbench archive list|prune --archive DIR
- *   rigorbench fsck --archive DIR [--repair]
- *   rigorbench serve --socket PATH [options]
- *   rigorbench submit run <workload>|suite --socket PATH [options]
- *   rigorbench status [<job-id>] --socket PATH
- *   rigorbench cancel <job-id> --socket PATH
- *   rigorbench shutdown [--now] --socket PATH
- *   rigorbench help
- *
- * Common options:
- *   --tier interp|adaptive|threaded
- *                            (run only; default interp,
- *                            profile defaults to adaptive)
- *   --invocations N          (default 8)
- *   --iterations N           (default 20)
- *   --size N                 (default: workload's defaultSize)
- *   --seed S                 (default 0xc0ffee)
- *   --jobs N                 (default 1) worker threads; artifacts
- *                            are byte-identical for every N
- *   --jit-threshold N        (default kDefaultJitThreshold)
- *   --target PCT             (sequential only; default 2)
- *   --json FILE              dump the raw run as JSON
- *                            (archive list: the machine-readable
- *                            listing; '-' prints it to stdout)
- *   --csv FILE               dump per-iteration samples as CSV
- *   --no-noise               disable the measurement-noise model
- *   --quiet                  silence warn()/inform() status output
- *
- * Observability (see docs/OBSERVABILITY.md):
- *   --metrics FILE           write a metrics-registry JSON snapshot
- *   --trace FILE             write a Chrome trace-event JSON
- *                            (Perfetto-loadable, modelled clock)
- *
- * Fault tolerance:
- *   --inject SPEC            inject a fault (repeatable); SPEC is
- *                            kind[:key=value]... with kind one of
- *                            throw|checksum|stall|ramp and keys
- *                            wl=NAME inv=N n=COUNT p=PROB mag=X;
- *                            or an I/O fault io:subkind[:key=value]...
- *                            with subkind one of short-write|enospc|
- *                            torn-rename|fsync-fail|crash-at=N and
- *                            keys at=N n=COUNT p=PROB op=NAME
- *                            path=SUBSTR mag=X (armed on the durable-
- *                            I/O operations; crash-at kills the
- *                            process with exit 6 at matching call N)
- *   --max-retries N          retries per invocation (default 2)
- *   --deadline-ms X          per-invocation modelled-time deadline
- *
- * Durability (see docs/METHODOLOGY.md §12):
- *   --resume FILE            (suite only) persist checksummed state
- *                            after every workload and skip completed
- *                            ones on restart; a checkpoint interrupted
- *                            mid-write falls back to FILE.bak
- *   --checkpoint-every N     (suite, needs --resume) additionally
- *                            checkpoint every N committed invocations,
- *                            so an interrupted *run* resumes mid-
- *                            workload; final artifacts are invariant
- *                            under the checkpoint cadence
- *
- * Archive & comparison (see docs/METHODOLOGY.md §13):
- *   --archive DIR            (run/suite) append the completed run(s)
- *                            to the archive at DIR; (compare/gate/
- *                            archive) the archive to operate on
- *   --label NAME             label the appended entry
- *   --resamples N            bootstrap resamples (default 2000)
- *   --confidence C           interval confidence (default 0.95)
- *   --gate-threshold PCT     gate regression threshold (default 5)
- *   --keep N                 (archive prune) entries to keep
- *   fsck --archive DIR       verify every file in the archive (CRC
- *                            envelopes, schema versions, naming,
- *                            orphaned temporaries/backups); exit 5
- *                            when corruption is found
- *   --repair                 (fsck) fix what is mechanically fixable:
- *                            restore from valid backups, sweep
- *                            orphaned temporaries, quarantine the
- *                            rest; exit 0 when the archive is clean
- *                            afterwards
- *   --base-tier T --cand-tier T
- *                            (compare/gate/explain on archives)
- *                            cross-tier pairing: baseline runs on
- *                            tier T1 vs candidate runs on tier T2,
- *                            paired by workload (both flags or
- *                            neither)
- *
- * Differential profiling (see docs/METHODOLOGY.md §14):
- *   explain A B              attribute the measured ratio of every
- *                            paired (workload, tier) to opcode-mix,
- *                            tier/deopt, branch and cache components
- *                            (plus an explicit unattributed
- *                            remainder), from the behavior profiles
- *                            archived with each entry
- *   --explain                (gate) append the per-pair attribution
- *                            for every failing pair
- *
- * Daemon mode (see docs/METHODOLOGY.md §17):
- *   serve                    run the multi-tenant benchmarking daemon
- *                            on a Unix-domain socket; submitted jobs
- *                            produce artifacts byte-identical to the
- *                            same flags run one-shot
- *   --socket PATH            the daemon's socket (serve and every
- *                            client command; compare/gate/explain
- *                            with --socket route through the daemon)
- *   --state-dir DIR          (serve) durable queue/checkpoint state
- *                            (default: SOCKET.d)
- *   --max-queue N            (serve) admission limit on waiting jobs
- *                            (default 16; excess submits exit 8)
- *   --max-active N           (serve) concurrent job executions
- *                            (default 1)
- *   serve --resume           restore the persisted queue after a
- *                            drain (SIGINT/SIGTERM exits 3 with the
- *                            queue durably checkpointed)
- *   --priority N             (submit) lower runs first (default 10)
- *   --client NAME            (submit) label shown in `status`
- *   --no-wait                (submit) print the job id and return
- *                            instead of streaming the report
- *   --now                    (shutdown) interrupt running jobs at the
- *                            next commit boundary instead of draining
- *
- * Entry refs: HEAD (newest), HEAD~N, a decimal id, or a label.
- *
- * Exit codes (stable; scripts may rely on them — the canonical table
- * lives in README.md "Exit codes"):
- *   0  success
- *   1  usage error (bad flags/arguments)
- *   2  runtime or suite failure (nothing measurable, I/O error)
- *   3  interrupted (SIGINT/SIGTERM); state is resumable when
- *      --resume was given (serve: the queue is resumable)
- *   4  regression: gate found a workload slower than the baseline
- *      beyond the threshold at the configured confidence
- *   5  corruption: fsck found (or could not repair) archive damage
- *   6  injected crash: an io:crash-at fault killed the process at
- *      the requested call (torture harnesses rely on this code to
- *      tell an injected crash from a real failure)
- *   7  daemon unavailable: no daemon at --socket (or it spoke a
- *      different protocol version)
- *   8  rejected: the daemon's admission control refused the job
- *      (queue full, draining, or an io:* fault spec)
+ * rigorbench — command-line front end to the framework: argument
+ * parsing, then serve::executeJob for measurements, serve::runQuery
+ * for archive queries, or one of the small local commands below.
+ * `rigorbench help` lists every command with the flags it accepts;
+ * README.md ("Command-line tool", "Exit codes") documents them.
  */
 
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "archive/archive.hh"
 #include "archive/fsck.hh"
-#include "harness/analysis.hh"
 #include "harness/envcheck.hh"
 #include "harness/fault.hh"
 #include "harness/profile.hh"
-#include "harness/report.hh"
-#include "harness/runner.hh"
-#include "harness/sequential.hh"
 #include "serve/client.hh"
 #include "serve/jobrun.hh"
 #include "serve/jobspec.hh"
@@ -180,161 +30,56 @@
 #include "support/schema.hh"
 #include "support/str.hh"
 #include "support/table.hh"
-#include "support/trace.hh"
 #include "vm/compiler.hh"
 
 using namespace rigor;
 
 namespace {
 
-// Exit-code table (see the file header). The codes themselves live in
-// serve/jobrun.hh so the CLI, the daemon and the client mode agree;
-// kExitInterrupted (3) is in support/interrupt.hh with the signal
-// handler and kExitCrashInjected (6) in harness/fault.hh with the
-// io:crash-at machinery.
+// The exit codes live in serve/jobrun.hh so the CLI, the daemon and
+// the client mode agree; kExitInterrupted (3) is in
+// support/interrupt.hh with the signal handler and kExitCrashInjected
+// (6) in harness/fault.hh with the io:crash-at machinery.
 using serve::kExitCorruption;
 using serve::kExitFailure;
-using serve::kExitRegression;
 using serve::kExitSuccess;
 using serve::kExitUsage;
 
+struct CommandForm;
+
+/**
+ * A parsed command line. Flags go straight into the job and query
+ * specs the engine runs; the remaining fields are settings only the
+ * CLI itself reads.
+ */
 struct Options
 {
     std::string command;
-    std::string workload;
-    /** Second positional (compare/gate candidate ref, submit's
-     * workload name, ...). */
-    std::string workload2;
-    vm::Tier tier = vm::Tier::Interp;
+    /** Positional arguments after the command. */
+    std::vector<std::string> args;
+    /** The form the command line matched (see kForms). */
+    const CommandForm *form = nullptr;
+    /** Measurement jobs, and the artifact paths of every command. */
+    serve::JobSpec job;
+    /** compare <base> <cand>, gate, explain. */
+    serve::QuerySpec query;
     /** True once --tier was given (profile defaults differently). */
     bool tierSet = false;
-    /** Cross-tier pairing for compare/gate/explain (both or none). */
-    std::string baseTier, candTier;
-    int invocations = 8;
-    int iterations = 20;
-    int jobs = 1;
-    int64_t size = 0;
-    uint64_t seed = 0xc0ffee;
-    int jitThreshold = harness::kDefaultJitThreshold;
-    double targetPct = 2.0;
-    std::string jsonPath;
-    std::string csvPath;
-    bool noNoise = false;
-    bool quiet = false;
-    harness::FaultPlan faultPlan;
-    /** Raw --inject specs, kept for the resume-config fingerprint. */
-    std::vector<std::string> injectSpecs;
-    int maxRetries = 2;
-    double deadlineMs = 0.0;
-    std::string resumePath;
-    int checkpointEvery = 0;
-    std::string metricsPath;
-    std::string tracePath;
-    std::string archiveDir;
-    std::string label;
-    int resamples = 2000;
-    double confidence = 0.95;
-    double gateThresholdPct = 5.0;
+    /** `archive prune --keep N`. */
     int keep = 0;
-    /** `gate --explain`: attribute every failing pair. */
-    bool explainGate = false;
     /** `fsck --repair`: fix what is mechanically fixable. */
     bool repair = false;
 
     // Daemon mode (serve and its client commands).
     std::string socketPath;
-    std::string stateDir;
-    int maxQueue = 16;
-    int maxActive = 1;
-    /** `serve --resume`: restore the persisted queue. */
-    bool serveResume = false;
-    int priority = 10;
-    std::string clientName;
-    /** `submit --no-wait`: detach instead of streaming the report. */
-    bool noWait = false;
+    /** serve; its socketPath comes from socketPath above. */
+    serve::ServerConfig server;
+    serve::SubmitOptions submit;
     /** `shutdown --now`: interrupt instead of draining. */
     bool shutdownNow = false;
-
-    // Observability sinks, shared by every run of the command
-    // (not owned; set up in main when requested).
-    MetricsRegistry *metrics = nullptr;
-    TraceEmitter *trace = nullptr;
+    /** `status <job-id>` / `cancel <job-id>` (-1: every job). */
+    int jobId = -1;
 };
-
-void
-printUsage(std::FILE *out)
-{
-    std::fprintf(
-        out,
-        "usage: rigorbench <command> [args] [options]\n"
-        "\n"
-        "commands:\n"
-        "  list                      list the workload suite\n"
-        "  env                       report environment hygiene\n"
-        "  version                   print binary and artifact-schema "
-        "versions\n"
-        "  disasm <workload>         disassemble a workload\n"
-        "  run <workload>            measure one workload\n"
-        "  compare <workload>        interp-vs-adaptive speedup\n"
-        "  compare <base> <cand>     compare two archive entries\n"
-        "                            (needs --archive DIR)\n"
-        "  sequential <workload>     run until the CI is tight\n"
-        "  profile <workload>        per-opcode/JIT profile\n"
-        "  suite                     measure the whole suite\n"
-        "  gate <base> [<cand>]      fail (exit 4) on regression vs\n"
-        "                            base; cand defaults to HEAD\n"
-        "  explain <base> <cand>     attribute the measured ratio to\n"
-        "                            behavior components\n"
-        "                            (needs --archive DIR)\n"
-        "  archive list|prune        inspect / trim an archive\n"
-        "                            (list --json FILE|- for the\n"
-        "                            machine-readable form)\n"
-        "  fsck                      verify an archive (--repair to\n"
-        "                            fix); needs --archive DIR\n"
-        "  serve                     run the benchmarking daemon on\n"
-        "                            --socket PATH (--resume after a\n"
-        "                            drain)\n"
-        "  submit run <wl>|suite     queue a job on the daemon\n"
-        "  status [<job-id>]         list the daemon's jobs (or one)\n"
-        "  cancel <job-id>           cancel a queued job\n"
-        "  shutdown                  drain the daemon (--now to\n"
-        "                            interrupt running jobs)\n"
-        "  help                      this text\n"
-        "\n"
-        "entry refs: HEAD, HEAD~N, a decimal id, or a --label name\n"
-        "\n"
-        "options: --tier interp|adaptive|threaded --invocations N "
-        "--iterations N --size N --jobs N\n"
-        "         --seed S --jit-threshold N --target PCT "
-        "--json FILE --csv FILE --no-noise\n"
-        "         --inject SPEC --max-retries N --deadline-ms X "
-        "--resume FILE\n"
-        "         --checkpoint-every N --metrics FILE --trace FILE "
-        "--quiet\n"
-        "         --archive DIR --label NAME --resamples N "
-        "--confidence C\n"
-        "         --gate-threshold PCT --keep N --explain "
-        "--repair\n"
-        "         --base-tier TIER --cand-tier TIER\n"
-        "         --socket PATH --state-dir DIR --max-queue N "
-        "--max-active N\n"
-        "         --priority N --client NAME --no-wait --now\n"
-        "\n"
-        "exit codes: 0 success, 1 usage error, 2 runtime failure,\n"
-        "            3 interrupted (resumable with --resume),\n"
-        "            4 regression detected by gate,\n"
-        "            5 corruption found by fsck,\n"
-        "            6 injected crash (io:crash-at fault),\n"
-        "            7 daemon unavailable at --socket,\n"
-        "            8 job rejected by daemon admission control\n");
-}
-
-[[noreturn]] void
-usage()
-{
-    printUsage(stderr);
-    std::exit(kExitUsage);
-}
 
 /**
  * Strict integer parsing: rejects garbage instead of yielding 0 and
@@ -409,265 +154,16 @@ parseTier(const char *text)
     std::exit(kExitFailure);
 }
 
-Options
-parseArgs(int argc, char **argv)
-{
-    Options opt;
-    if (argc < 2)
-        usage();
-    opt.command = argv[1];
-    if (opt.command == "help" || opt.command == "--help" ||
-        opt.command == "-h") {
-        printUsage(stdout);
-        std::exit(0);
-    }
-    if (opt.command == "--version")
-        opt.command = "version";
-    int i = 2;
-    if (i < argc && argv[i][0] != '-')
-        opt.workload = argv[i++];
-    if (i < argc && argv[i][0] != '-')
-        opt.workload2 = argv[i++];
-    for (; i < argc; ++i) {
-        std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
-        if (a == "--help" || a == "-h") {
-            printUsage(stdout);
-            std::exit(0);
-        } else if (a == "--tier") {
-            opt.tier = parseTier(next());
-            opt.tierSet = true;
-        } else if (a == "--base-tier") {
-            opt.baseTier = vm::tierName(parseTier(next()));
-        } else if (a == "--cand-tier") {
-            opt.candTier = vm::tierName(parseTier(next()));
-        } else if (a == "--invocations") {
-            opt.invocations = static_cast<int>(
-                parseInt("--invocations", next(), 1));
-        } else if (a == "--iterations") {
-            opt.iterations = static_cast<int>(
-                parseInt("--iterations", next(), 1));
-        } else if (a == "--size") {
-            opt.size = parseInt("--size", next(), 1);
-        } else if (a == "--seed") {
-            opt.seed = parseSeed("--seed", next());
-        } else if (a == "--jobs") {
-            opt.jobs =
-                static_cast<int>(parseInt("--jobs", next(), 1));
-        } else if (a == "--jit-threshold") {
-            opt.jitThreshold = static_cast<int>(
-                parseInt("--jit-threshold", next(), 1));
-        } else if (a == "--target") {
-            opt.targetPct = parseDouble("--target", next(), 1e-6);
-        } else if (a == "--json") {
-            opt.jsonPath = next();
-        } else if (a == "--csv") {
-            opt.csvPath = next();
-        } else if (a == "--no-noise") {
-            opt.noNoise = true;
-        } else if (a == "--quiet") {
-            opt.quiet = true;
-        } else if (a == "--metrics") {
-            opt.metricsPath = next();
-        } else if (a == "--trace") {
-            opt.tracePath = next();
-        } else if (a == "--inject") {
-            const char *spec = next();
-            opt.faultPlan.add(spec);
-            opt.injectSpecs.push_back(spec);
-        } else if (a == "--max-retries") {
-            opt.maxRetries = static_cast<int>(
-                parseInt("--max-retries", next(), 0));
-        } else if (a == "--deadline-ms") {
-            opt.deadlineMs = parseDouble("--deadline-ms", next(),
-                                         1e-9);
-        } else if (a == "--resume") {
-            // For `serve`, --resume is a flag (restore the queue);
-            // everywhere else it names the suite state file.
-            if (opt.command == "serve")
-                opt.serveResume = true;
-            else
-                opt.resumePath = next();
-        } else if (a == "--checkpoint-every") {
-            opt.checkpointEvery = static_cast<int>(
-                parseInt("--checkpoint-every", next(), 1));
-        } else if (a == "--archive") {
-            opt.archiveDir = next();
-        } else if (a == "--label") {
-            opt.label = next();
-        } else if (a == "--resamples") {
-            opt.resamples = static_cast<int>(
-                parseInt("--resamples", next(), 10));
-        } else if (a == "--confidence") {
-            opt.confidence =
-                parseDouble("--confidence", next(), 1e-6);
-            if (opt.confidence >= 1.0)
-                fatal("--confidence must be < 1, got %g",
-                      opt.confidence);
-        } else if (a == "--gate-threshold") {
-            opt.gateThresholdPct =
-                parseDouble("--gate-threshold", next(), 0.0);
-        } else if (a == "--keep") {
-            opt.keep =
-                static_cast<int>(parseInt("--keep", next(), 1));
-        } else if (a == "--explain") {
-            opt.explainGate = true;
-        } else if (a == "--repair") {
-            opt.repair = true;
-        } else if (a == "--socket") {
-            opt.socketPath = next();
-        } else if (a == "--state-dir") {
-            opt.stateDir = next();
-        } else if (a == "--max-queue") {
-            opt.maxQueue = static_cast<int>(
-                parseInt("--max-queue", next(), 1));
-        } else if (a == "--max-active") {
-            opt.maxActive = static_cast<int>(
-                parseInt("--max-active", next(), 1));
-        } else if (a == "--priority") {
-            opt.priority = static_cast<int>(
-                parseInt("--priority", next(), 0));
-        } else if (a == "--client") {
-            opt.clientName = next();
-        } else if (a == "--no-wait") {
-            opt.noWait = true;
-        } else if (a == "--now") {
-            opt.shutdownNow = true;
-        } else {
-            usage();
-        }
-    }
-    // --checkpoint-every needs a durable home for the checkpoints: a
-    // local suite's --resume file, or the daemon-assigned resume path
-    // a submitted suite gets at admission.
-    bool checkpointable =
-        (opt.command == "suite" && !opt.resumePath.empty()) ||
-        (opt.command == "submit" && opt.workload == "suite");
-    if (opt.checkpointEvery > 0 && !checkpointable)
-        fatal("--checkpoint-every requires 'suite' with --resume "
-              "(checkpoints are written to the resume state file)");
-    // A resumed suite only re-measures what the interrupted process
-    // left unfinished; archiving it would record a partial picture of
-    // the suite as if it were complete.
-    if (!opt.archiveDir.empty() && !opt.resumePath.empty())
-        fatal("--archive cannot be combined with --resume; "
-              "archive the suite in a single uninterrupted run");
-    if (!opt.workload2.empty() && opt.command != "compare" &&
-        opt.command != "gate" && opt.command != "explain" &&
-        opt.command != "submit")
-        fatal("unexpected extra argument '%s'",
-              opt.workload2.c_str());
-    if (opt.explainGate && opt.command != "gate")
-        fatal("--explain only applies to 'gate' (use the 'explain' "
-              "command for a standalone report)");
-    if (opt.repair && opt.command != "fsck")
-        fatal("--repair only applies to 'fsck'");
-    if (opt.command == "fsck" && !opt.workload.empty())
-        fatal("fsck takes no positional argument (got '%s'); the "
-              "archive comes from --archive DIR",
-              opt.workload.c_str());
-    if (opt.command == "fsck" && opt.archiveDir.empty())
-        fatal("fsck requires --archive DIR");
-    if (opt.baseTier.empty() != opt.candTier.empty())
-        fatal("cross-tier comparison needs both --base-tier and "
-              "--cand-tier (got baseline '%s', candidate '%s')",
-              opt.baseTier.c_str(), opt.candTier.c_str());
-    if (!opt.baseTier.empty() && opt.command != "compare" &&
-        opt.command != "gate" && opt.command != "explain")
-        fatal("--base-tier/--cand-tier only apply to "
-              "'compare', 'gate' and 'explain'");
-    if (!opt.socketPath.empty() && opt.command != "serve" &&
-        opt.command != "submit" && opt.command != "status" &&
-        opt.command != "cancel" && opt.command != "shutdown" &&
-        opt.command != "compare" && opt.command != "gate" &&
-        opt.command != "explain")
-        fatal("--socket only applies to serve/submit/status/cancel/"
-              "shutdown and to archive queries (compare/gate/"
-              "explain)");
-    if (opt.command == "submit") {
-        if (opt.workload != "run" && opt.workload != "suite")
-            fatal("submit expects 'run <workload>' or 'suite', got "
-                  "'%s'",
-                  opt.workload.c_str());
-        if (opt.workload == "run" && opt.workload2.empty())
-            fatal("submit run requires a workload name");
-        if (opt.workload == "suite" && !opt.workload2.empty())
-            fatal("submit suite takes no workload argument (got "
-                  "'%s')",
-                  opt.workload2.c_str());
-        if (!opt.resumePath.empty())
-            fatal("submit does not take --resume; the daemon "
-                  "assigns queued suites a durable resume path "
-                  "itself");
-    }
-    if (opt.serveResume && opt.command != "serve")
-        panic("serveResume set outside 'serve'");
-    return opt;
-}
-
-/**
- * The Options fields a JobSpec carries, with the caller naming the
- * command and workload (local `run`/`suite` use them verbatim;
- * `submit` maps its positionals).
- */
-serve::JobSpec
-specFromOptions(const Options &opt, const std::string &command,
-                const std::string &workload)
-{
-    serve::JobSpec s;
-    s.command = command;
-    s.workload = workload;
-    s.tier = opt.tier;
-    s.invocations = opt.invocations;
-    s.iterations = opt.iterations;
-    s.jobs = opt.jobs;
-    s.size = opt.size;
-    s.seed = opt.seed;
-    s.jitThreshold = opt.jitThreshold;
-    s.noNoise = opt.noNoise;
-    s.quiet = opt.quiet;
-    s.maxRetries = opt.maxRetries;
-    s.deadlineMs = opt.deadlineMs;
-    s.injectSpecs = opt.injectSpecs;
-    s.jsonPath = opt.jsonPath;
-    s.csvPath = opt.csvPath;
-    s.metricsPath = opt.metricsPath;
-    s.tracePath = opt.tracePath;
-    s.archiveDir = opt.archiveDir;
-    s.label = opt.label;
-    s.resumePath = opt.resumePath;
-    s.checkpointEvery = opt.checkpointEvery;
-    return s;
-}
-
-harness::RunnerConfig
-makeConfig(const Options &opt, vm::Tier tier,
-           const harness::FaultInjector *faults)
-{
-    return serve::makeRunnerConfig(
-        specFromOptions(opt, opt.command, opt.workload), tier, faults,
-        opt.metrics, opt.trace);
-}
-
-/** Output hook for the engine's report and "wrote PATH" lines. */
+/** Write a JSON artifact and confirm it on stdout. */
 void
-printChunk(const std::string &chunk)
+writeJson(const std::string &path, const Json &doc)
 {
-    std::fwrite(chunk.data(), 1, chunk.size(), stdout);
-}
-
-void
-printEstimate(const harness::RunResult &run)
-{
-    std::printf("%s", serve::renderEstimate(run).c_str());
+    atomicWriteFile(path, doc.dump(2) + "\n");
+    std::printf("wrote %s\n", path.c_str());
 }
 
 int
-cmdEnv()
+cmdEnv(const Options &)
 {
     harness::EnvReport report = harness::collectEnvironment();
     std::printf("%s", report.render().c_str());
@@ -676,7 +172,7 @@ cmdEnv()
 }
 
 int
-cmdList()
+cmdList(const Options &)
 {
     Table t({"name", "category", "default size", "description"});
     for (const auto &w : workloads::suite()) {
@@ -693,7 +189,7 @@ cmdList()
  * this binary emit?" never requires reading the source.
  */
 int
-cmdVersion()
+cmdVersion(const Options &)
 {
     std::printf("rigorbench %s\n", kRigorbenchVersion);
     std::printf("schemas:\n");
@@ -744,26 +240,10 @@ cmdVersion()
 int
 cmdDisasm(const Options &opt)
 {
-    const auto &spec = workloads::findWorkload(opt.workload);
+    const auto &spec = workloads::findWorkload(opt.job.workload);
     vm::Program prog = vm::compileSource(spec.source, spec.name);
     std::printf("%s", prog.module->disassemble().c_str());
     return kExitSuccess;
-}
-
-/**
- * `run` and `suite`: hand the job to the shared execution engine with
- * an output hook that writes straight to stdout. The daemon runs the
- * same engine with a streaming hook — that shared path is what makes
- * daemon-submitted artifacts byte-identical to one-shot runs.
- */
-int
-runLocalJob(const Options &opt)
-{
-    serve::JobSpec spec =
-        specFromOptions(opt, opt.command, opt.workload);
-    serve::JobHooks hooks;
-    hooks.output = printChunk;
-    return serve::executeJob(spec, hooks);
 }
 
 int
@@ -773,210 +253,106 @@ cmdProfile(const Options &opt)
     // Profiling is mostly about explaining warmup/JIT behaviour, so
     // the adaptive tier is the default here (run's default stays
     // interp); --tier still overrides.
-    pcfg.tier = opt.tierSet ? opt.tier : vm::Tier::Adaptive;
-    pcfg.iterations = opt.iterations;
-    pcfg.size = opt.size;
-    pcfg.seed = opt.seed;
-    pcfg.jitThreshold = opt.jitThreshold;
-    auto prof = harness::profileWorkload(opt.workload, pcfg);
+    pcfg.tier = opt.tierSet ? opt.job.tier : vm::Tier::Adaptive;
+    pcfg.iterations = opt.job.iterations;
+    pcfg.size = opt.job.size;
+    pcfg.seed = opt.job.seed;
+    pcfg.jitThreshold = opt.job.jitThreshold;
+    auto prof = harness::profileWorkload(opt.job.workload, pcfg);
     std::printf("%s", harness::renderProfile(prof).c_str());
     return kExitSuccess;
 }
 
+/**
+ * run, suite, compare <workload>, sequential: hand the job to the
+ * execution engine with an output hook that writes straight to
+ * stdout. The daemon runs the same engine with a streaming hook —
+ * that shared path is what makes daemon-submitted artifacts
+ * byte-identical to one-shot runs.
+ */
 int
-cmdCompare(const Options &opt, const harness::FaultInjector *faults)
+runJob(const Options &opt)
 {
-    auto interp = harness::runExperiment(
-        opt.workload, makeConfig(opt, vm::Tier::Interp, faults));
-    if (interp.interrupted) {
-        printEstimate(interp);
-        return kExitInterrupted;
+    serve::JobHooks hooks;
+    hooks.output = [](const std::string &chunk) {
+        std::fwrite(chunk.data(), 1, chunk.size(), stdout);
+    };
+    return serve::executeJob(opt.job, hooks);
+}
+
+/**
+ * compare/gate/explain on archive entries: run the query locally —
+ * or, with --socket, on the daemon, whose answer renders identically
+ * (it runs the same engine against the same archive).
+ */
+int
+runQueryCommand(const Options &opt)
+{
+    if (!opt.socketPath.empty())
+        return serve::remoteQuery(opt.socketPath, opt.query,
+                                  opt.job.jsonPath);
+    serve::QueryResult res = serve::runQuery(opt.query);
+    std::fputs(res.text.c_str(), stdout);
+    if (!opt.job.jsonPath.empty())
+        writeJson(opt.job.jsonPath, res.doc);
+    return res.exitCode;
+}
+
+const std::string &
+archiveDir(const Options &opt)
+{
+    if (opt.job.archiveDir.empty())
+        fatal("'archive %s' requires --archive DIR",
+              opt.args[0].c_str());
+    return opt.job.archiveDir;
+}
+
+int
+cmdArchiveList(const Options &opt)
+{
+    const std::string &dir = archiveDir(opt);
+    archive::ScanResult scan = archive::RunArchive(dir).scan();
+    // `--json -` replaces the table with the document on stdout (for
+    // pipelines); `--json FILE` writes it alongside.
+    if (opt.job.jsonPath == "-") {
+        std::printf("%s\n",
+                    archive::archiveListToJson(dir, scan).dump(2)
+                        .c_str());
+        return kExitSuccess;
     }
-    auto jit = harness::runExperiment(
-        opt.workload, makeConfig(opt, vm::Tier::Adaptive, faults));
-    printEstimate(interp);
-    printEstimate(jit);
-    if (jit.interrupted)
-        return kExitInterrupted;
-    if (interp.invocations.empty() || jit.invocations.empty())
-        return kExitFailure;
-    auto s = harness::rigorousSpeedup(interp, jit);
-    std::printf("speedup (adaptive over interp): %s %s\n",
-                harness::formatCi(s.ci, 3).c_str(),
-                s.significant ? "(significant)"
-                              : "(not significant)");
+    std::fputs(archive::renderArchiveList(dir, scan).c_str(), stdout);
+    if (!opt.job.jsonPath.empty())
+        writeJson(opt.job.jsonPath,
+                  archive::archiveListToJson(dir, scan));
     return kExitSuccess;
 }
 
 int
-cmdSequential(const Options &opt,
-              const harness::FaultInjector *faults)
+cmdArchivePrune(const Options &opt)
 {
-    harness::SequentialConfig seq;
-    seq.targetRelativeHalfWidth = opt.targetPct / 100.0;
-    seq.maxInvocations = std::max(opt.invocations, 8);
-    auto res = harness::runSequential(
-        opt.workload, makeConfig(opt, opt.tier, faults), seq);
-    printEstimate(res.run);
-    if (!res.run.invocations.empty() && !res.run.interrupted) {
-        std::printf("  sequential: %s after %d invocations "
-                    "(target ±%.1f%%)\n",
-                    res.converged ? "converged" : "budget exhausted",
-                    res.invocationsUsed, opt.targetPct);
-        std::printf("  width trajectory:");
-        for (double w : res.widthTrajectory)
-            std::printf(" %.2f%%", 100.0 * w);
-        std::printf("\n");
-    }
-    serve::writeRunArtifacts(
-        specFromOptions(opt, opt.command, opt.workload), res.run,
-        printChunk);
-    if (res.run.interrupted)
-        return kExitInterrupted;
-    return res.run.invocations.empty() ? kExitFailure
-                                       : kExitSuccess;
-}
-
-/**
- * compare/gate/explain on archive entries: build the query, run it
- * locally — or, with --socket, on the daemon, whose answer renders
- * identically (it runs the same engine against the same archive).
- */
-int
-runQueryCommand(const Options &opt, const std::string &kind)
-{
-    serve::QuerySpec q;
-    q.kind = kind;
-    q.baseRef = opt.workload;
-    q.candRef = opt.workload2;
-    q.archiveDir = opt.archiveDir;
-    q.resamples = opt.resamples;
-    q.confidence = opt.confidence;
-    q.gateThresholdPct = opt.gateThresholdPct;
-    q.baseTier = opt.baseTier;
-    q.candTier = opt.candTier;
-    q.explainGate = opt.explainGate;
-    q.seed = opt.seed;
-    if (!opt.socketPath.empty())
-        return serve::remoteQuery(opt.socketPath, q, opt.jsonPath);
-    serve::QueryResult res = serve::runQuery(q);
-    std::fputs(res.text.c_str(), stdout);
-    if (!opt.jsonPath.empty()) {
-        atomicWriteFile(opt.jsonPath, res.doc.dump(2) + "\n");
-        std::printf("wrote %s\n", opt.jsonPath.c_str());
-    }
-    return res.exitCode;
-}
-
-/** The machine-readable `archive list --json` document. */
-Json
-archiveListJson(const std::string &dir,
-                const archive::ScanResult &scan)
-{
-    Json doc = Json::object();
-    doc.set("schema", kArchiveListSchema);
-    doc.set("version", kArchiveListVersion);
-    doc.set("archive", dir);
-    Json entries = Json::array();
-    for (const auto &e : scan.entries) {
-        Json j = Json::object();
-        j.set("id", e.id);
-        j.set("label", e.label);
-        j.set("command", e.command);
-        j.set("runs", e.runCount);
-        j.set("profiles", e.profileCount);
-        j.set("bytes", static_cast<int64_t>(e.sizeBytes));
-        j.set("fingerprint", e.fingerprint);
-        Json tiers = Json::array();
-        for (const auto &t : e.tiers)
-            tiers.push(t);
-        j.set("tiers", std::move(tiers));
-        entries.push(std::move(j));
-    }
-    doc.set("entries", std::move(entries));
-    doc.set("quarantined_present", scan.quarantinedPresent);
-    return doc;
-}
-
-/** `archive list|prune --archive DIR`: hygiene operations. */
-int
-cmdArchive(const Options &opt)
-{
-    if (opt.archiveDir.empty())
-        fatal("'archive %s' requires --archive DIR",
-              opt.workload.c_str());
-    archive::RunArchive ar(opt.archiveDir);
-    if (opt.workload == "list") {
-        archive::ScanResult scan = ar.scan();
-        // `--json -` replaces the table with the document on stdout
-        // (for pipelines); `--json FILE` writes it alongside.
-        if (opt.jsonPath == "-") {
-            std::printf(
-                "%s\n",
-                archiveListJson(opt.archiveDir, scan).dump(2)
-                    .c_str());
-            return kExitSuccess;
-        }
-        Table t({"id", "label", "command", "runs", "profile",
-                 "bytes", "fingerprint"});
-        for (const auto &e : scan.entries) {
-            // "profile" says whether `explain` can attribute this
-            // entry: every run profiled, some, or none (legacy v1).
-            const char *profile =
-                e.profileCount == 0 ? "no"
-                : e.profileCount >= e.runCount ? "yes"
-                                               : "partial";
-            t.addRow({std::to_string(e.id),
-                      e.label.empty() ? "-" : e.label, e.command,
-                      std::to_string(e.runCount), profile,
-                      fmtCount(e.sizeBytes), e.fingerprint});
-        }
-        std::printf("%s", t.render().c_str());
-        std::printf("%zu entr%s in %s", scan.entries.size(),
-                    scan.entries.size() == 1 ? "y" : "ies",
-                    opt.archiveDir.c_str());
-        if (!scan.quarantined.empty())
-            std::printf(", %zu quarantined this scan",
-                        scan.quarantined.size());
-        if (scan.quarantinedPresent > 0)
-            std::printf(", %d quarantined file(s) present "
-                        "(see 'rigorbench fsck')",
-                        scan.quarantinedPresent);
-        std::printf("\n");
-        if (!opt.jsonPath.empty()) {
-            atomicWriteFile(
-                opt.jsonPath,
-                archiveListJson(opt.archiveDir, scan).dump(2) +
-                    "\n");
-            std::printf("wrote %s\n", opt.jsonPath.c_str());
-        }
-        return kExitSuccess;
-    }
-    if (opt.workload == "prune") {
-        if (opt.keep < 1)
-            fatal("'archive prune' requires --keep N");
-        int removed = ar.prune(opt.keep);
-        std::printf("pruned %d entr%s from %s (kept newest %d)\n",
-                    removed, removed == 1 ? "y" : "ies",
-                    opt.archiveDir.c_str(), opt.keep);
-        return kExitSuccess;
-    }
-    fatal("unknown archive action '%s' (expected list or prune)",
-          opt.workload.c_str());
+    const std::string &dir = archiveDir(opt);
+    if (opt.keep < 1)
+        fatal("'archive prune' requires --keep N");
+    int removed = archive::RunArchive(dir).prune(opt.keep);
+    std::printf("pruned %d entr%s from %s (kept newest %d)\n", removed,
+                removed == 1 ? "y" : "ies", dir.c_str(), opt.keep);
+    return kExitSuccess;
 }
 
 /** `fsck --archive DIR [--repair]`: verify / repair an archive. */
 int
 cmdFsck(const Options &opt)
 {
-    archive::FsckReport report =
-        archive::fsckArchive(opt.archiveDir, opt.repair, opt.metrics);
+    // Not a job, so fsck owns the registry of its fsck.* counters.
+    MetricsRegistry metrics;
+    bool wantMetrics = !opt.job.metricsPath.empty();
+    archive::FsckReport report = archive::fsckArchive(
+        opt.job.archiveDir, opt.repair, wantMetrics ? &metrics : nullptr);
     std::printf("%s", archive::renderFsck(report).c_str());
-    if (!opt.jsonPath.empty()) {
-        atomicWriteFile(opt.jsonPath,
-                        archive::fsckToJson(report).dump(2) + "\n");
-        std::printf("wrote %s\n", opt.jsonPath.c_str());
-    }
+    if (!opt.job.jsonPath.empty())
+        writeJson(opt.job.jsonPath, archive::fsckToJson(report));
+    if (wantMetrics)
+        writeJson(opt.job.metricsPath, metrics.toJson());
     // The verdict is about the archive's state *now*: a repaired
     // archive exits 0 even though defects were found, an unrepaired
     // (or unrepairable) one exits 5 so scripts can gate on it.
@@ -988,104 +364,397 @@ cmdServe(const Options &opt)
 {
     if (opt.socketPath.empty())
         fatal("serve requires --socket PATH");
-    serve::ServerConfig cfg;
+    serve::ServerConfig cfg = opt.server;
     cfg.socketPath = opt.socketPath;
-    cfg.stateDir = opt.stateDir.empty() ? opt.socketPath + ".d"
-                                        : opt.stateDir;
-    cfg.maxQueue = opt.maxQueue;
-    cfg.maxActive = opt.maxActive;
-    cfg.resume = opt.serveResume;
+    if (cfg.stateDir.empty())
+        cfg.stateDir = opt.socketPath + ".d";
     return serve::runServer(cfg);
 }
 
 int
 cmdSubmit(const Options &opt)
 {
-    serve::JobSpec spec =
-        specFromOptions(opt, opt.workload, opt.workload2);
-    serve::SubmitOptions so;
-    so.priority = opt.priority;
-    so.client = opt.clientName;
-    so.wait = !opt.noWait;
-    return serve::submitJob(opt.socketPath, spec, so);
-}
-
-int
-cmdStatus(const Options &opt)
-{
-    int jobId = -1;
-    if (!opt.workload.empty())
-        jobId = static_cast<int>(
-            parseInt("status", opt.workload.c_str(), 0));
-    return serve::requestStatus(opt.socketPath, jobId);
-}
-
-int
-cmdCancel(const Options &opt)
-{
-    if (opt.workload.empty())
-        fatal("cancel requires a job id");
-    return serve::cancelJob(
-        opt.socketPath,
-        static_cast<int>(
-            parseInt("cancel", opt.workload.c_str(), 0)));
+    return serve::submitJob(opt.socketPath, opt.job, opt.submit);
 }
 
 /**
- * Commands whose measurement/observability sinks the shared execution
- * engine owns (serve::executeJob creates and flushes them itself, on
- * whichever process runs the job).
+ * One way to invoke a command: its positional arguments, the flags it
+ * accepts and the code that runs it. A flag outside the list is a
+ * usage error rather than silently ignored.
  */
-bool
-engineOwnsJob(const Options &opt)
+struct CommandForm
 {
-    return opt.command == "run" || opt.command == "suite" ||
-        opt.command == "submit" || opt.command == "serve" ||
-        opt.command == "status" || opt.command == "cancel" ||
-        opt.command == "shutdown";
+    /** How help and errors name the form. */
+    const char *synopsis;
+    const char *command;
+    /** First positional when it selects the form (`submit run`). */
+    const char *action;
+    /** Positional arguments, the action included. */
+    int minArgs, maxArgs;
+    /** Accepted flags, each followed by its value's metavariable. */
+    std::string flags;
+    int (*run)(const Options &);
+};
+
+/** Flags every form accepts (as well as --help, checked first). */
+const std::string kCommonFlags = "--quiet";
+
+const std::string kMeasureFlags =
+    "--invocations N --iterations N --size N --seed S --jobs N "
+    "--jit-threshold N --no-noise --inject SPEC --max-retries N "
+    "--deadline-ms X --metrics FILE --trace FILE";
+const std::string kRunFlags =
+    kMeasureFlags + " --tier T --json FILE --csv FILE --archive DIR "
+                    "--label NAME";
+const std::string kSuiteFlags =
+    kMeasureFlags + " --archive DIR --label NAME --checkpoint-every N";
+const std::string kQueryFlags =
+    "--archive DIR --seed S --resamples N --confidence C "
+    "--base-tier T --cand-tier T --json FILE --socket PATH";
+const std::string kSubmitFlags =
+    " --socket PATH --priority N --client NAME --no-wait";
+
+const CommandForm kForms[] = {
+    {"list", "list", nullptr, 0, 0, "", cmdList},
+    {"env", "env", nullptr, 0, 0, "", cmdEnv},
+    {"version", "version", nullptr, 0, 0, "", cmdVersion},
+    {"disasm <workload>", "disasm", nullptr, 1, 1, "", cmdDisasm},
+    {"run <workload>", "run", nullptr, 1, 1, kRunFlags, runJob},
+    {"compare <workload>", "compare", nullptr, 1, 1, kMeasureFlags,
+     runJob},
+    {"compare <base> <cand>", "compare", nullptr, 2, 2, kQueryFlags,
+     runQueryCommand},
+    {"sequential <workload>", "sequential", nullptr, 1, 1,
+     kMeasureFlags + " --tier T --target PCT --json FILE --csv FILE",
+     runJob},
+    {"profile <workload>", "profile", nullptr, 1, 1,
+     "--tier T --iterations N --size N --seed S --jit-threshold N",
+     cmdProfile},
+    {"suite", "suite", nullptr, 0, 0, kSuiteFlags + " --resume FILE",
+     runJob},
+    {"gate <base> [<cand>]", "gate", nullptr, 1, 2,
+     kQueryFlags + " --gate-threshold PCT --explain", runQueryCommand},
+    // explain's second ref is checked by runQuery, for local and
+    // daemon queries alike.
+    {"explain <base> <cand>", "explain", nullptr, 1, 2, kQueryFlags,
+     runQueryCommand},
+    {"archive list", "archive", "list", 1, 1,
+     "--archive DIR --json FILE|-", cmdArchiveList},
+    {"archive prune", "archive", "prune", 1, 1, "--archive DIR --keep N",
+     cmdArchivePrune},
+    {"fsck", "fsck", nullptr, 0, 0,
+     "--archive DIR --repair --json FILE --metrics FILE", cmdFsck},
+    {"serve", "serve", nullptr, 0, 0,
+     "--socket PATH --state-dir DIR --max-queue N --max-active N "
+     "--resume",
+     cmdServe},
+    {"submit run <workload>", "submit", "run", 2, 2,
+     kRunFlags + kSubmitFlags, cmdSubmit},
+    {"submit suite", "submit", "suite", 1, 1, kSuiteFlags + kSubmitFlags,
+     cmdSubmit},
+    {"status [<job-id>]", "status", nullptr, 0, 1, "--socket PATH",
+     [](const Options &o) {
+         return serve::requestStatus(o.socketPath, o.jobId);
+     }},
+    {"cancel <job-id>", "cancel", nullptr, 1, 1, "--socket PATH",
+     [](const Options &o) {
+         return serve::cancelJob(o.socketPath, o.jobId);
+     }},
+    {"shutdown", "shutdown", nullptr, 0, 0, "--socket PATH --now",
+     [](const Options &o) {
+         return serve::shutdownDaemon(o.socketPath, o.shutdownNow);
+     }},
+};
+
+/** True when `flag` is one of the words of `flags`. */
+bool
+listsFlag(const std::string &flags, const std::string &flag)
+{
+    std::istringstream in(flags);
+    for (std::string word; in >> word;)
+        if (word == flag)
+            return true;
+    return false;
 }
 
-int
-dispatch(const Options &opt, const harness::FaultInjector *faults)
+void
+printUsage(std::FILE *out)
 {
-    if (opt.command == "disasm")
-        return cmdDisasm(opt);
-    if (opt.command == "run" || opt.command == "suite")
-        return runLocalJob(opt);
-    if (opt.command == "compare") {
-        // One positional: the legacy interp-vs-adaptive measurement.
-        // Two positionals: compare two archived entries.
-        if (!opt.workload2.empty())
-            return runQueryCommand(opt, "compare");
-        if (!opt.archiveDir.empty())
-            fatal("compare with --archive takes two entry refs, "
-                  "e.g. 'compare HEAD~1 HEAD --archive DIR'");
-        return cmdCompare(opt, faults);
+    std::fprintf(
+        out,
+        "usage: rigorbench <command> [args] [options]\n"
+        "\n"
+        "commands:\n"
+        "  list                      list the workload suite\n"
+        "  env                       report environment hygiene\n"
+        "  version                   print binary and artifact-schema "
+        "versions\n"
+        "  disasm <workload>         disassemble a workload\n"
+        "  run <workload>            measure one workload\n"
+        "  compare <workload>        interp-vs-adaptive speedup\n"
+        "  compare <base> <cand>     compare two archive entries\n"
+        "                            (needs --archive DIR)\n"
+        "  sequential <workload>     run until the CI is tight\n"
+        "  profile <workload>        per-opcode/JIT profile\n"
+        "  suite                     measure the whole suite\n"
+        "  gate <base> [<cand>]      fail (exit 4) on regression vs\n"
+        "                            base; cand defaults to HEAD\n"
+        "  explain <base> <cand>     attribute the measured ratio to\n"
+        "                            behavior components\n"
+        "                            (needs --archive DIR)\n"
+        "  archive list|prune        inspect / trim an archive\n"
+        "                            (list --json FILE|- for the\n"
+        "                            machine-readable form)\n"
+        "  fsck                      verify an archive (--repair to\n"
+        "                            fix); needs --archive DIR\n"
+        "  serve                     run the benchmarking daemon on\n"
+        "                            --socket PATH (--resume after a\n"
+        "                            drain)\n"
+        "  submit run <wl>|suite     queue a job on the daemon\n"
+        "  status [<job-id>]         list the daemon's jobs (or one)\n"
+        "  cancel <job-id>           cancel a queued job\n"
+        "  shutdown                  drain the daemon (--now to\n"
+        "                            interrupt running jobs)\n"
+        "  help                      this text\n"
+        "\n"
+        "entry refs: HEAD, HEAD~N, a decimal id, or a --label name\n"
+        "\n"
+        "flags by command (every command also takes %s and --help;\n"
+        "any other flag exits 1):\n",
+        kCommonFlags.c_str());
+    for (const auto &f : kForms) {
+        if (f.flags.empty())
+            continue;
+        std::fprintf(out, "  %s\n", f.synopsis);
+        // Wrap before a flag, so no flag is split from its value.
+        std::string line = "     ";
+        std::istringstream in(f.flags);
+        for (std::string word; in >> word;) {
+            if (word.compare(0, 2, "--") == 0 && line.size() > 60) {
+                std::fprintf(out, "%s\n", line.c_str());
+                line = "     ";
+            }
+            line += " " + word;
+        }
+        std::fprintf(out, "%s\n", line.c_str());
     }
-    if (opt.command == "gate")
-        return runQueryCommand(opt, "gate");
-    if (opt.command == "explain")
-        return runQueryCommand(opt, "explain");
-    if (opt.command == "archive")
-        return cmdArchive(opt);
-    if (opt.command == "fsck")
-        return cmdFsck(opt);
-    if (opt.command == "sequential")
-        return cmdSequential(opt, faults);
-    if (opt.command == "profile")
-        return cmdProfile(opt);
-    if (opt.command == "serve")
-        return cmdServe(opt);
-    if (opt.command == "submit")
-        return cmdSubmit(opt);
-    if (opt.command == "status")
-        return cmdStatus(opt);
-    if (opt.command == "cancel")
-        return cmdCancel(opt);
-    if (opt.command == "shutdown")
-        return serve::shutdownDaemon(opt.socketPath,
-                                     opt.shutdownNow);
-    usage();
+    std::fprintf(out,
+                 "\n"
+                 "exit codes: 0 success, 1 usage error, 2 runtime "
+                 "failure,\n"
+                 "            3 interrupted (resumable with --resume),\n"
+                 "            4 regression detected by gate,\n"
+                 "            5 corruption found by fsck,\n"
+                 "            6 injected crash (io:crash-at fault),\n"
+                 "            7 daemon unavailable at --socket,\n"
+                 "            8 job rejected by daemon admission "
+                 "control\n");
+}
+
+[[noreturn]] void
+usage()
+{
+    printUsage(stderr);
+    std::exit(kExitUsage);
+}
+
+/** The form `command args...` matches; a usage error when none does. */
+const CommandForm &
+findForm(const std::string &command,
+         const std::vector<std::string> &args)
+{
+    std::string expected;
+    for (const auto &f : kForms) {
+        if (command != f.command)
+            continue;
+        int n = static_cast<int>(args.size());
+        if ((!f.action || (n > 0 && args[0] == f.action)) &&
+            n >= f.minArgs && n <= f.maxArgs)
+            return f;
+        expected += std::string(expected.empty() ? "" : " | ") +
+            "rigorbench " + f.synopsis;
+    }
+    if (expected.empty())
+        usage();
+    fatal("bad arguments for '%s'; usage: %s", command.c_str(),
+          expected.c_str());
+}
+
+Options
+parseArgs(int argc, char **argv)
+{
+    Options opt;
+    if (argc < 2)
+        usage();
+    for (int k = 1; k < argc; ++k) {
+        std::string a = argv[k];
+        if (a == "--help" || a == "-h" || (k == 1 && a == "help")) {
+            printUsage(stdout);
+            std::exit(0);
+        }
+    }
+    opt.command = argv[1];
+    if (opt.command == "--version")
+        opt.command = "version";
+    int i = 2;
+    for (; i < argc && argv[i][0] != '-'; ++i)
+        opt.args.push_back(argv[i]);
+    opt.form = &findForm(opt.command, opt.args);
+    auto arg = [&opt](size_t k) {
+        return k < opt.args.size() ? opt.args[k] : std::string();
+    };
+    bool submit = opt.command == "submit";
+    opt.job.command = submit ? arg(0) : opt.command;
+    opt.job.workload = arg(submit ? 1 : 0);
+    opt.query.kind = opt.command;
+    opt.query.baseRef = arg(0);
+    opt.query.candRef = arg(1);
+    if ((opt.command == "status" || opt.command == "cancel") &&
+        !opt.args.empty())
+        opt.jobId = static_cast<int>(
+            parseInt(opt.command.c_str(), opt.args[0].c_str(), 0));
+
+    for (; i < argc; ++i) {
+        std::string a = argv[i];
+        auto next = [&]() -> const char * {
+            if (i + 1 >= argc)
+                usage();
+            return argv[++i];
+        };
+        if (!listsFlag(kCommonFlags, a) &&
+            !listsFlag(opt.form->flags, a)) {
+            bool known = false;
+            for (const auto &f : kForms)
+                known = known || listsFlag(f.flags, a);
+            if (!known)
+                usage();
+            fatal("%s does not apply to 'rigorbench %s' (see "
+                  "'rigorbench help')",
+                  a.c_str(), opt.form->synopsis);
+        }
+        if (a == "--tier") {
+            opt.job.tier = parseTier(next());
+            opt.tierSet = true;
+        } else if (a == "--base-tier") {
+            opt.query.baseTier = vm::tierName(parseTier(next()));
+        } else if (a == "--cand-tier") {
+            opt.query.candTier = vm::tierName(parseTier(next()));
+        } else if (a == "--invocations") {
+            opt.job.invocations = static_cast<int>(
+                parseInt("--invocations", next(), 1));
+        } else if (a == "--iterations") {
+            opt.job.iterations = static_cast<int>(
+                parseInt("--iterations", next(), 1));
+        } else if (a == "--size") {
+            opt.job.size = parseInt("--size", next(), 1);
+        } else if (a == "--seed") {
+            opt.job.seed = opt.query.seed = parseSeed("--seed", next());
+        } else if (a == "--jobs") {
+            opt.job.jobs =
+                static_cast<int>(parseInt("--jobs", next(), 1));
+        } else if (a == "--jit-threshold") {
+            opt.job.jitThreshold = static_cast<int>(
+                parseInt("--jit-threshold", next(), 1));
+        } else if (a == "--target") {
+            opt.job.targetPct = parseDouble("--target", next(), 1e-6);
+        } else if (a == "--json") {
+            opt.job.jsonPath = next();
+        } else if (a == "--csv") {
+            opt.job.csvPath = next();
+        } else if (a == "--no-noise") {
+            opt.job.noNoise = true;
+        } else if (a == "--quiet") {
+            opt.job.quiet = true;
+        } else if (a == "--metrics") {
+            opt.job.metricsPath = next();
+        } else if (a == "--trace") {
+            opt.job.tracePath = next();
+        } else if (a == "--inject") {
+            const char *spec = next();
+            harness::FaultPlan().add(spec);  // reject malformed specs
+            opt.job.injectSpecs.push_back(spec);
+        } else if (a == "--max-retries") {
+            opt.job.maxRetries = static_cast<int>(
+                parseInt("--max-retries", next(), 0));
+        } else if (a == "--deadline-ms") {
+            opt.job.deadlineMs =
+                parseDouble("--deadline-ms", next(), 1e-9);
+        } else if (a == "--resume") {
+            // For `serve`, --resume is a flag (restore the queue);
+            // for `suite` it names the state file.
+            if (opt.command == "serve")
+                opt.server.resume = true;
+            else
+                opt.job.resumePath = next();
+        } else if (a == "--checkpoint-every") {
+            opt.job.checkpointEvery = static_cast<int>(
+                parseInt("--checkpoint-every", next(), 1));
+        } else if (a == "--archive") {
+            opt.job.archiveDir = opt.query.archiveDir = next();
+        } else if (a == "--label") {
+            opt.job.label = next();
+        } else if (a == "--resamples") {
+            opt.query.resamples = static_cast<int>(
+                parseInt("--resamples", next(), 10));
+        } else if (a == "--confidence") {
+            opt.query.confidence =
+                parseDouble("--confidence", next(), 1e-6);
+            if (opt.query.confidence >= 1.0)
+                fatal("--confidence must be < 1, got %g",
+                      opt.query.confidence);
+        } else if (a == "--gate-threshold") {
+            opt.query.gateThresholdPct =
+                parseDouble("--gate-threshold", next(), 0.0);
+        } else if (a == "--keep") {
+            opt.keep =
+                static_cast<int>(parseInt("--keep", next(), 1));
+        } else if (a == "--explain") {
+            opt.query.explainGate = true;
+        } else if (a == "--repair") {
+            opt.repair = true;
+        } else if (a == "--socket") {
+            opt.socketPath = next();
+        } else if (a == "--state-dir") {
+            opt.server.stateDir = next();
+        } else if (a == "--max-queue") {
+            opt.server.maxQueue = static_cast<int>(
+                parseInt("--max-queue", next(), 1));
+        } else if (a == "--max-active") {
+            opt.server.maxActive = static_cast<int>(
+                parseInt("--max-active", next(), 1));
+        } else if (a == "--priority") {
+            opt.submit.priority = static_cast<int>(
+                parseInt("--priority", next(), 0));
+        } else if (a == "--client") {
+            opt.submit.client = next();
+        } else if (a == "--no-wait") {
+            opt.submit.wait = false;
+        } else if (a == "--now") {
+            opt.shutdownNow = true;
+        } else {
+            panic("flag %s is in the command table but not parsed",
+                  a.c_str());
+        }
+    }
+    // Rules that span flags. A submitted suite's checkpoints go to
+    // the resume path the daemon assigns at admission.
+    if (opt.command == "suite" && opt.job.checkpointEvery > 0 &&
+        opt.job.resumePath.empty())
+        fatal("--checkpoint-every requires 'suite' with --resume "
+              "(checkpoints are written to the resume state file)");
+    // A resumed suite only re-measures what the interrupted process
+    // left unfinished; archiving it would record a partial picture of
+    // the suite as if it were complete.
+    if (!opt.job.archiveDir.empty() && !opt.job.resumePath.empty())
+        fatal("--archive cannot be combined with --resume; "
+              "archive the suite in a single uninterrupted run");
+    if (opt.query.baseTier.empty() != opt.query.candTier.empty())
+        fatal("cross-tier comparison needs both --base-tier and "
+              "--cand-tier (got baseline '%s', candidate '%s')",
+              opt.query.baseTier.c_str(), opt.query.candTier.c_str());
+    if (opt.command == "fsck" && opt.job.archiveDir.empty())
+        fatal("fsck requires --archive DIR");
+    return opt;
 }
 
 } // namespace
@@ -1102,48 +771,9 @@ main(int argc, char **argv)
         return kExitUsage;
     }
     try {
-        if (opt.quiet)
+        if (opt.job.quiet)
             setQuiet(true);
-        harness::FaultInjector injector(opt.faultPlan, opt.seed);
-        const harness::FaultInjector *faults =
-            opt.faultPlan.empty() ? nullptr : &injector;
-        // io:* faults arm on durable-I/O calls, not invocations, so
-        // they install into the process-wide FsOps seam before any
-        // durable work starts. Never uninstalled: the injector must
-        // outlive every write, including the observability flush.
-        harness::FaultyFsOps faultyFs(opt.faultPlan.ioFaults,
-                                      opt.seed);
-        if (!opt.faultPlan.ioFaults.empty())
-            setFsOps(&faultyFs);
-        if (opt.command == "list")
-            return cmdList();
-        if (opt.command == "env")
-            return cmdEnv();
-        if (opt.command == "version")
-            return cmdVersion();
-        if (opt.workload.empty() && opt.command != "suite" &&
-            opt.command != "fsck" && opt.command != "serve" &&
-            opt.command != "status" && opt.command != "shutdown")
-            usage();
-
-        // run/suite (local or daemon-side) create their own sinks
-        // inside serve::executeJob; wiring these too would write the
-        // files twice.
-        MetricsRegistry metrics;
-        TraceEmitter trace;
-        bool ownSinks = !engineOwnsJob(opt);
-        if (ownSinks && !opt.metricsPath.empty())
-            opt.metrics = &metrics;
-        if (ownSinks && !opt.tracePath.empty())
-            opt.trace = &trace;
-
-        int rc = dispatch(opt, faults);
-        // Partial artifacts are flushed even after an interrupt, so
-        // what was measured is never lost.
-        if (ownSinks)
-            serve::writeObservability(
-                opt.metrics, opt.trace, opt.metricsPath,
-                opt.tracePath, printChunk);
+        int rc = opt.form->run(opt);
         // stdout itself is an artifact consumers parse; a full disk
         // or closed pipe must be a loud failure, not silence.
         if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
