@@ -23,45 +23,6 @@ runTier(const std::string &workload, vm::Tier tier)
     return harness::runExperiment(workload, defaultConfig(tier));
 }
 
-const char *
-runtimeName(Runtime r)
-{
-    switch (r) {
-      case Runtime::SwitchInterp: return "switch-interp";
-      case Runtime::ThreadedInterp: return "threaded-interp";
-      case Runtime::Adaptive: return "adaptive-jit";
-    }
-    return "?";
-}
-
-harness::RunnerConfig
-variantConfig(Runtime r)
-{
-    harness::RunnerConfig cfg = defaultConfig(vm::Tier::Interp);
-    switch (r) {
-      case Runtime::SwitchInterp:
-        cfg.dispatchUops = 6;
-        cfg.uarch.dispatchHistoryOps = 2;
-        break;
-      case Runtime::ThreadedInterp:
-        // Computed goto: cheaper dispatch and per-handler indirect
-        // branches (deeper usable history).
-        cfg.dispatchUops = 4;
-        cfg.uarch.dispatchHistoryOps = 6;
-        break;
-      case Runtime::Adaptive:
-        cfg.tier = vm::Tier::Adaptive;
-        break;
-    }
-    return cfg;
-}
-
-harness::RunResult
-runVariant(const std::string &workload, Runtime r)
-{
-    return harness::runExperiment(workload, variantConfig(r));
-}
-
 const std::vector<std::string> &
 figureWorkloads()
 {

@@ -26,23 +26,6 @@ harness::RunnerConfig defaultConfig(vm::Tier tier);
 /** Run one workload on one tier with the default design. */
 harness::RunResult runTier(const std::string &workload, vm::Tier tier);
 
-/** Runtime variants compared by the multi-runtime experiments. */
-enum class Runtime
-{
-    SwitchInterp,    ///< switch-dispatch interpreter (CPython-like)
-    ThreadedInterp,  ///< computed-goto interpreter
-    Adaptive,        ///< hot-loop quickening tier (PyPy-like)
-};
-
-/** Display name of a Runtime. */
-const char *runtimeName(Runtime r);
-
-/** Default design configured for a runtime variant. */
-harness::RunnerConfig variantConfig(Runtime r);
-
-/** Run one workload under a runtime variant. */
-harness::RunResult runVariant(const std::string &workload, Runtime r);
-
 /** Workload subset used by the series "figures" (keeps runs short). */
 const std::vector<std::string> &figureWorkloads();
 

@@ -23,23 +23,6 @@ namespace archive {
 
 namespace {
 
-/** Validate an entry payload's inner schema against this build. */
-void
-checkEntrySchema(const Json &payload, const std::string &path)
-{
-    const Json *schema = payload.get("schema");
-    if (!schema || schema->asString() != kArchiveEntrySchema)
-        fatal("%s is not a %s document", path.c_str(),
-              kArchiveEntrySchema);
-    int64_t v = payload.at("version").asInt();
-    if (v < kArchiveEntryMinVersion || v > kArchiveEntryVersion)
-        fatal("%s has %s version %lld; this build reads versions "
-              "%d..%d",
-              path.c_str(), kArchiveEntrySchema,
-              static_cast<long long>(v), kArchiveEntryMinVersion,
-              kArchiveEntryVersion);
-}
-
 EntrySummary
 summaryFromPayload(const Json &payload, int id,
                    const std::string &path)
@@ -68,6 +51,17 @@ summaryFromPayload(const Json &payload, int id,
     uintmax_t size = fs::file_size(path, ec);
     s.sizeBytes = ec ? 0 : static_cast<uint64_t>(size);
     return s;
+}
+
+/** The recovery note scan and load print for a restored entry. */
+void
+warnIfBackupUsed(const std::string &path, const EntryRead &read)
+{
+    if (read.usedBackup)
+        warn("state file %s is unusable (%s); recovered the last "
+             "good checkpoint from %s",
+             path.c_str(), read.why.c_str(),
+             stateBackupPath(path).c_str());
 }
 
 } // namespace
@@ -116,28 +110,23 @@ RunArchive::append(const Json &config, const std::string &label,
               "%s); giving up after retries",
               dir_.c_str(), lockPath().c_str());
 
+    DirListing listing = listDir(dir_);
     int maxId = 0;
-    std::vector<std::string> staleTmp;
-    for (const auto &e : fs::directory_iterator(dir_, ec)) {
-        std::string name = e.path().filename().string();
+    for (const auto &name : listing.names)
         maxId = std::max(maxId, anyIdFromName(name));
-        if (isTmpName(name))
-            staleTmp.push_back(e.path().string());
-    }
-    if (ec)
-        fatal("cannot scan archive directory %s: %s", dir_.c_str(),
-              ec.message().c_str());
     int id = maxId + 1;
 
     // Sweep staging files orphaned by interrupted writes — but only
     // now, after their ids were counted above, so a crash between
     // staging and rename can never cause an id to be handed out
     // twice.
-    for (const auto &tmp : staleTmp)
+    for (const auto &name : listing.tmps) {
+        std::string tmp = (fs::path(dir_) / name).string();
         if (fsOps().unlink(tmp.c_str()) == 0)
             warn("removed orphaned temporary %s left by an "
                  "interrupted write",
                  tmp.c_str());
+    }
 
     Json payload = Json::object();
     payload.set("schema", kArchiveEntrySchema);
@@ -164,21 +153,9 @@ RunArchive::append(const Json &config, const std::string &label,
 ScanResult
 RunArchive::scan() const
 {
+    DirListing listing = listDir(dir_);
     ScanResult out;
-    std::error_code ec;
-    std::vector<std::pair<int, std::string>> files;
-    for (const auto &e : fs::directory_iterator(dir_, ec)) {
-        std::string name = e.path().filename().string();
-        if (isQuarantineName(name))
-            ++out.quarantinedPresent;
-        int id = entryIdFromName(name);
-        if (id >= 0)
-            files.emplace_back(id, e.path().string());
-    }
-    if (ec)
-        fatal("cannot scan archive directory %s: %s", dir_.c_str(),
-              ec.message().c_str());
-    std::sort(files.begin(), files.end());
+    out.quarantinedPresent = listing.quarantineCount;
 
     // The lock is taken lazily, only if something needs
     // quarantining: clean archives — the overwhelmingly common case —
@@ -186,57 +163,50 @@ RunArchive::scan() const
     FileLock lock;
     bool lockTried = false;
 
-    for (const auto &[id, path] : files) {
-        try {
-            StateLoad load = loadStateFile(path);
-            if (load.usedBackup)
-                warn("%s", load.warning.c_str());
-            const Json *schema = load.payload.get("schema");
-            const Json *version = load.payload.get("version");
-            if (schema && schema->asString() == kArchiveEntrySchema &&
-                version && version->asInt() > kArchiveEntryVersion) {
-                // Written by a future build: perfectly healthy data
-                // this build cannot interpret. Skip, never
-                // quarantine — downgrades must not eat archives.
-                warn("%s has %s version %lld; this build reads "
-                     "versions %d..%d, leaving it in place",
-                     path.c_str(), kArchiveEntrySchema,
-                     static_cast<long long>(version->asInt()),
-                     kArchiveEntryMinVersion, kArchiveEntryVersion);
-                continue;
-            }
-            checkEntrySchema(load.payload, path);
+    for (const auto &[id, name] : listing.mains) {
+        std::string path = (fs::path(dir_) / name).string();
+        EntryRead read = readEntry(path);
+        if (read.state == EntryState::Ok) {
+            warnIfBackupUsed(path, read);
             out.entries.push_back(
-                summaryFromPayload(load.payload, id, path));
-        } catch (const FatalError &e) {
-            // Both the file and its backup are unusable (or its
-            // schema is foreign): quarantine instead of aborting the
-            // scan — one rotten entry must not hide the healthy rest
-            // of the archive. The rename keeps the bytes around for
-            // forensics while taking the file out of future scans.
-            if (!lockTried) {
-                lockTried = true;
-                lock = FileLock::tryAcquire(lockPath());
-            }
-            if (!lock.held()) {
-                warn("archive entry %s is unusable (%s); the archive "
-                     "is locked by a writer, leaving the file in "
-                     "place (read-only scan)",
-                     path.c_str(), e.what());
-                continue;
-            }
-            std::string aside = quarantineTarget(path);
-            if (fsOps().rename(path.c_str(), aside.c_str()) == 0) {
-                warn("archive entry %s is unusable (%s); "
-                     "quarantined as %s",
-                     path.c_str(), e.what(), aside.c_str());
-                out.quarantined.push_back(aside);
-                ++out.quarantinedPresent;
-            } else {
-                warn("archive entry %s is unusable (%s) and could "
-                     "not be quarantined: %s",
-                     path.c_str(), e.what(), std::strerror(errno));
-            }
+                summaryFromPayload(read.payload, id, path));
+            continue;
+        }
+        if (read.state == EntryState::Future) {
+            // Perfectly healthy data this build cannot interpret.
+            // Skip, never quarantine — downgrades must not eat
+            // archives.
+            warn("archive entry %s is from a newer build (%s); "
+                 "leaving it in place",
+                 path.c_str(), read.why.c_str());
+            continue;
+        }
+        // Both the file and its backup are unusable: quarantine
+        // instead of aborting the scan — one rotten entry must not
+        // hide the healthy rest of the archive. The rename keeps the
+        // bytes around for forensics while taking the file out of
+        // future scans.
+        if (!lockTried) {
+            lockTried = true;
+            lock = FileLock::tryAcquire(lockPath());
+        }
+        if (!lock.held()) {
+            warn("archive entry %s is unusable (%s); the archive is "
+                 "locked by a writer, leaving the file in place "
+                 "(read-only scan)",
+                 path.c_str(), read.why.c_str());
+            continue;
+        }
+        std::string aside = quarantineFile(path);
+        if (!aside.empty()) {
+            warn("archive entry %s is unusable (%s); quarantined as %s",
+                 path.c_str(), read.why.c_str(), aside.c_str());
+            out.quarantined.push_back(aside);
+            ++out.quarantinedPresent;
+        } else {
+            warn("archive entry %s is unusable (%s) and could not be "
+                 "quarantined: %s",
+                 path.c_str(), read.why.c_str(), std::strerror(errno));
         }
     }
     return out;
@@ -245,11 +215,14 @@ RunArchive::scan() const
 Entry
 RunArchive::load(const EntrySummary &summary) const
 {
-    StateLoad stateLoad = loadStateFile(summary.path);
-    if (stateLoad.usedBackup)
-        warn("%s", stateLoad.warning.c_str());
-    const Json &payload = stateLoad.payload;
-    checkEntrySchema(payload, summary.path);
+    EntryRead read = readEntry(summary.path);
+    if (read.state != EntryState::Ok)
+        fatal("archive entry %s is %s (%s)", summary.path.c_str(),
+              read.state == EntryState::Future ? "from a newer build"
+                                               : "unusable",
+              read.why.c_str());
+    warnIfBackupUsed(summary.path, read);
+    const Json &payload = read.payload;
     Entry entry;
     entry.summary = summaryFromPayload(payload, summary.id,
                                        summary.path);

@@ -1,7 +1,7 @@
 /**
  * @file
- * On-disk naming rules of the run archive, shared by the archive
- * proper and its fsck.
+ * On-disk rules of the run archive, shared by the archive proper and
+ * its fsck: what a filename means, and what makes an entry readable.
  *
  * An archive directory holds `entry-NNNNNN.json` state envelopes plus
  * the sidecar files the durability machinery creates around them:
@@ -10,15 +10,24 @@
  * one `.lock` file for advisory inter-process locking. Everything
  * that parses or constructs those names lives here so the archive and
  * fsck can never disagree about what a filename means.
+ *
+ * The same goes for content. verifyEntryFile() is the one definition
+ * of a readable entry (envelope plus payload header) and readEntry()
+ * the one backup fallback; listDir() is the one directory walk.
+ * RunArchive::scan/load/append and fsckArchive all go through them,
+ * so a file fsck calls healthy is exactly a file the archive lists.
  */
 
 #ifndef RIGOR_ARCHIVE_ENTRY_FORMAT_HH
 #define RIGOR_ARCHIVE_ENTRY_FORMAT_HH
 
 #include <cstring>
-#include <filesystem>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/str.hh"
 
@@ -99,18 +108,78 @@ isTmpName(const std::string &name)
 }
 
 /**
- * First free quarantine name for `path`: the plain suffix, then
- * numbered variants, so repeated damage at one path never overwrites
- * earlier forensic copies and re-quarantining is idempotent.
+ * Rename `path` aside to its first free quarantine name: the plain
+ * suffix, then numbered variants, so repeated damage at one path never
+ * overwrites earlier forensic copies and re-quarantining is
+ * idempotent.
+ * @return the new name, or "" when the rename failed (errno says why).
  */
-inline std::string
-quarantineTarget(const std::string &path)
+std::string quarantineFile(const std::string &path);
+
+/** How an entry file (or one copy of it) relates to this build. */
+enum class EntryState
 {
-    std::string aside = path + kQuarantineSuffix;
-    for (int i = 2; std::filesystem::exists(aside); ++i)
-        aside = path + kQuarantineSuffix + "." + std::to_string(i);
-    return aside;
-}
+    Ok,     ///< readable by this build
+    Future, ///< healthy data from a newer build: hands off
+    Bad,    ///< unusable: broken envelope, or not a readable entry
+};
+
+/**
+ * Verify one file: the durable_io envelope (format, version, CRC),
+ * then the payload header (schema, version range, a string
+ * `fingerprint` and `command`, a non-empty `runs` array).
+ * @param payload when non-null, receives the payload whenever the
+ * envelope verifies.
+ * @param why receives a one-line reason unless the file is Ok.
+ */
+EntryState verifyEntryFile(const std::string &path, Json *payload,
+                           std::string *why);
+
+/** What readEntry() decided for one entry. */
+struct EntryRead
+{
+    EntryState state = EntryState::Bad;
+    /** Payload of the copy the state describes (unless Bad). */
+    Json payload;
+    /** True when the main file is Bad and its `.bak` was Ok. */
+    bool usedBackup = false;
+    /**
+     * Unless the main file is Ok: its reason, or for a Bad main with
+     * a non-Ok backup "main: ...; backup: ..." ("; no backup" when
+     * there is none).
+     */
+    std::string why;
+};
+
+/**
+ * Read the entry at `path` by the rule scan, load and fsck share:
+ * the main file if it is Ok (or Future: left in place), otherwise its
+ * `.bak` if that is Ok (or Future), otherwise Bad.
+ */
+EntryRead readEntry(const std::string &path);
+
+/** Every file in an archive directory, by category. */
+struct DirListing
+{
+    /** (id, filename) of every entry-DIGITS.json, sorted. */
+    std::vector<std::pair<int, std::string>> mains;
+    /** Filenames of entry backups (entry-DIGITS.json.bak). */
+    std::vector<std::string> baks;
+    /** Staging files from interrupted atomic writes. */
+    std::vector<std::string> tmps;
+    /** Files that belong to no known category. */
+    std::vector<std::string> strays;
+    /** Every filename present (for id counting and collisions). */
+    std::set<std::string> names;
+    /** Quarantined copies (either spelling). */
+    int quarantineCount = 0;
+};
+
+/**
+ * List `dir` once.
+ * @throws FatalError when the directory cannot be read.
+ */
+DirListing listDir(const std::string &dir);
 
 } // namespace archive
 } // namespace rigor

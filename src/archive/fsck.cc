@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <set>
 
 #include "archive/entry_format.hh"
 #include "support/durable_io.hh"
@@ -19,143 +18,6 @@ namespace rigor {
 namespace archive {
 
 namespace {
-
-/** How a payload relates to this build's archive-entry schema. */
-enum class PayloadState
-{
-    Ok,     ///< readable by this build
-    Future, ///< healthy data from a newer build — hands off
-    Bad,    ///< not an archive entry (or structurally broken)
-};
-
-PayloadState
-checkPayload(const Json &payload, std::string *why)
-{
-    const Json *schema = payload.get("schema");
-    if (!schema || schema->type() != Json::Type::String ||
-        schema->asString() != kArchiveEntrySchema) {
-        *why = strprintf("payload is not a %s document",
-                         kArchiveEntrySchema);
-        return PayloadState::Bad;
-    }
-    const Json *version = payload.get("version");
-    if (!version || version->type() != Json::Type::Int) {
-        *why = "payload has no integer version";
-        return PayloadState::Bad;
-    }
-    int64_t v = version->asInt();
-    if (v > kArchiveEntryVersion) {
-        *why = strprintf("version %lld is newer than this build's "
-                         "%d..%d",
-                         static_cast<long long>(v),
-                         kArchiveEntryMinVersion,
-                         kArchiveEntryVersion);
-        return PayloadState::Future;
-    }
-    if (v < kArchiveEntryMinVersion) {
-        *why = strprintf("version %lld predates the supported "
-                         "%d..%d",
-                         static_cast<long long>(v),
-                         kArchiveEntryMinVersion,
-                         kArchiveEntryVersion);
-        return PayloadState::Bad;
-    }
-    const Json *fp = payload.get("fingerprint");
-    const Json *command = payload.get("command");
-    const Json *runs = payload.get("runs");
-    if (!fp || fp->type() != Json::Type::String) {
-        *why = "payload has no fingerprint";
-        return PayloadState::Bad;
-    }
-    if (!command || command->type() != Json::Type::String) {
-        *why = "payload has no command";
-        return PayloadState::Bad;
-    }
-    if (!runs || runs->type() != Json::Type::Array ||
-        runs->size() == 0) {
-        *why = "payload has no runs";
-        return PayloadState::Bad;
-    }
-    return PayloadState::Ok;
-}
-
-/**
- * Read `path` and verify envelope + payload in one go.
- * @return Ok/Future/Bad; `payload` and `why` as in the parts.
- */
-PayloadState
-verifyEntryFile(const std::string &path, Json *payload,
-                std::string *why)
-{
-    std::string text;
-    if (!readFile(path, text)) {
-        *why = "cannot read file";
-        return PayloadState::Bad;
-    }
-    Json inner;
-    if (!verifyStateText(text, &inner, why))
-        return PayloadState::Bad;
-    PayloadState state = checkPayload(inner, why);
-    if (payload)
-        *payload = std::move(inner);
-    return state;
-}
-
-/** Everything fsck needs to know about the directory's contents. */
-struct DirListing
-{
-    /** (id, filename) of every entry-DIGITS.json, sorted. */
-    std::vector<std::pair<int, std::string>> mains;
-    /** Filenames of entry backups (entry-DIGITS.json.bak). */
-    std::vector<std::string> baks;
-    /** Staging files from interrupted atomic writes. */
-    std::vector<std::string> tmps;
-    /** Files that belong to no known category. */
-    std::vector<std::string> strays;
-    /** Every filename present (for collision checks). */
-    std::set<std::string> names;
-    int quarantineCount = 0;
-};
-
-DirListing
-listDir(const std::string &dir)
-{
-    DirListing out;
-    std::error_code ec;
-    for (const auto &e : fs::directory_iterator(dir, ec)) {
-        std::string name = e.path().filename().string();
-        out.names.insert(name);
-        if (name == kLockFileName)
-            continue;
-        if (isQuarantineName(name)) {
-            ++out.quarantineCount;
-            continue;
-        }
-        if (isTmpName(name)) {
-            out.tmps.push_back(name);
-            continue;
-        }
-        if (endsWith(name, ".bak") &&
-            entryIdFromName(name.substr(0, name.size() - 4)) >= 0) {
-            out.baks.push_back(name);
-            continue;
-        }
-        int id = entryIdFromName(name);
-        if (id >= 0) {
-            out.mains.emplace_back(id, name);
-            continue;
-        }
-        out.strays.push_back(name);
-    }
-    if (ec)
-        fatal("cannot scan archive directory %s: %s", dir.c_str(),
-              ec.message().c_str());
-    std::sort(out.mains.begin(), out.mains.end());
-    std::sort(out.baks.begin(), out.baks.end());
-    std::sort(out.tmps.begin(), out.tmps.end());
-    std::sort(out.strays.begin(), out.strays.end());
-    return out;
-}
 
 /** fsck working state threaded through the per-category passes. */
 struct FsckPass
@@ -184,9 +46,8 @@ struct FsckPass
     /** Quarantine `name`; returns true (and sets action) on success. */
     bool quarantine(const std::string &name, FsckFinding &f)
     {
-        std::string path = fullPath(name);
-        std::string aside = quarantineTarget(path);
-        if (fsOps().rename(path.c_str(), aside.c_str()) != 0) {
+        std::string aside = quarantineFile(fullPath(name));
+        if (aside.empty()) {
             f.action = strprintf("quarantine failed: %s",
                                  std::strerror(errno));
             return false;
@@ -273,10 +134,6 @@ fsckArchive(const std::string &dir, bool repair,
     }
 
     // --- entry files --------------------------------------------------
-    // Names that verified (or were repaired into verifying); baks are
-    // matched against this set afterwards.
-    std::set<std::string> healthyMains;
-
     for (auto &[id, name] : listing.mains) {
         ++report.entriesScanned;
 
@@ -319,37 +176,24 @@ fsckArchive(const std::string &dir, bool repair,
             name = canonical; // fall through to content checks
         }
 
-        std::string why;
-        PayloadState state =
-            verifyEntryFile(pass.fullPath(name), nullptr, &why);
-        if (state == PayloadState::Ok) {
+        // The shared rule decides; fsck only reports and repairs.
+        EntryRead read = readEntry(pass.fullPath(name));
+        if (read.state == EntryState::Ok && !read.usedBackup) {
             ++report.entriesOk;
             report.headId = std::max(report.headId, id);
-            healthyMains.insert(name);
             continue;
         }
-        if (state == PayloadState::Future) {
+        if (read.state == EntryState::Future) {
             FsckFinding &f =
-                pass.addFinding(name, "future-version", why);
+                pass.addFinding(name, "future-version", read.why);
             f.notice = true;
             f.action = "left in place";
-            healthyMains.insert(name); // its .bak is not orphaned
             continue;
         }
-
-        // Envelope or payload is broken. A valid backup turns this
-        // into a restore; otherwise both copies go to quarantine.
-        std::string bakName = name + ".bak";
-        std::string bakWhy;
-        Json bakPayload;
-        bool bakOk = listing.names.count(bakName) > 0 &&
-            verifyEntryFile(pass.fullPath(bakName), &bakPayload,
-                            &bakWhy) == PayloadState::Ok;
-        if (bakOk) {
+        if (read.state == EntryState::Ok) {
             FsckFinding &f = pass.addFinding(
                 name, "corrupt-main",
-                strprintf("%s (backup verifies)", why.c_str()));
-            healthyMains.insert(name); // bak is accounted for
+                strprintf("%s (backup verifies)", read.why.c_str()));
             if (!repair) {
                 f.action = "restore from backup";
                 continue;
@@ -357,47 +201,35 @@ fsckArchive(const std::string &dir, bool repair,
             // The backup's payload re-wraps in a fresh envelope; the
             // invalid main is not rotated (writeStateFile never
             // rotates corruption over a good backup).
-            writeStateFile(pass.fullPath(name), bakPayload);
+            writeStateFile(pass.fullPath(name), read.payload);
             f.action = "restored from backup";
             f.repaired = true;
             ++report.entriesOk;
             report.headId = std::max(report.headId, id);
-        } else {
-            std::string detail = strprintf("main: %s", why.c_str());
-            if (listing.names.count(bakName) > 0)
-                detail += strprintf("; backup: %s", bakWhy.c_str());
-            else
-                detail += "; no backup";
-            FsckFinding &f =
-                pass.addFinding(name, "corrupt-entry", detail);
-            healthyMains.insert(name); // its bak joins the quarantine
-            if (!repair) {
-                f.action = "quarantine";
-                continue;
-            }
-            bool ok = pass.quarantine(name, f);
-            if (ok && listing.names.count(bakName) > 0) {
-                std::string bakPath = pass.fullPath(bakName);
-                std::string aside = quarantineTarget(bakPath);
-                if (fsOps().rename(bakPath.c_str(),
-                                   aside.c_str()) == 0)
-                    ++report.quarantinedPresent;
-            }
+            continue;
         }
+        FsckFinding &f = pass.addFinding(name, "corrupt-entry", read.why);
+        if (!repair) {
+            f.action = "quarantine";
+            continue;
+        }
+        // Both copies go; the .bak never lingers as an orphan.
+        std::string bakName = name + ".bak";
+        if (pass.quarantine(name, f) && listing.names.count(bakName) &&
+            !quarantineFile(pass.fullPath(bakName)).empty())
+            ++report.quarantinedPresent;
     }
 
     // --- backups whose main is gone ----------------------------------
     for (const auto &bakName : listing.baks) {
         std::string mainName = bakName.substr(0, bakName.size() - 4);
-        if (healthyMains.count(mainName) > 0)
-            continue;
         if (listing.names.count(mainName) > 0)
-            continue; // its main was handled (and quarantined) above
+            continue; // its main (and so the .bak) was handled above
         std::string why;
         Json payload;
-        PayloadState state =
+        EntryState state =
             verifyEntryFile(pass.fullPath(bakName), &payload, &why);
-        if (state == PayloadState::Ok) {
+        if (state == EntryState::Ok) {
             FsckFinding &f = pass.addFinding(
                 bakName, "missing-main",
                 strprintf("backup verifies but %s is gone",

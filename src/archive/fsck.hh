@@ -12,10 +12,15 @@
  * valid backup, sweep orphaned temporaries, rename non-canonical
  * filenames, quarantine what nothing can save).
  *
+ * Entries are judged by the same rule the scan applies
+ * (readEntry() in archive/entry_format.hh): what the scan lists is ok
+ * or corrupt-main here, what it quarantines is corrupt-entry.
+ *
  * fsck never invents data: every repair either copies bytes that
  * verified against their checksum or moves damage aside where `scan`
  * will no longer trip over it. Healthy entries written by a *newer*
- * build are reported as notices and left strictly alone.
+ * build (main or backup) are reported as notices and left strictly
+ * alone.
  */
 
 #ifndef RIGOR_ARCHIVE_FSCK_HH
@@ -37,9 +42,8 @@ struct FsckFinding
     std::string path;
     /**
      * Defect class: corrupt-entry, corrupt-main, missing-main,
-     * orphan-bak, orphan-tmp, bad-payload, non-canonical-name,
-     * duplicate-id; or the notice classes future-version and
-     * stray-file.
+     * orphan-bak, orphan-tmp, non-canonical-name, duplicate-id; or
+     * the notice classes future-version and stray-file.
      */
     std::string kind;
     /** One-line diagnosis. */

@@ -56,9 +56,10 @@ struct IterationSample
 {
     /** Modelled execution time in milliseconds (noise applied). */
     double timeMs = 0.0;
-    /** Noise-free simulated cycle count for the iteration. */
-    uint64_t simCycles = 0;
-    /** Per-iteration perf-counter deltas. */
+    /**
+     * Per-iteration perf-counter deltas; `cycles` is the noise-free
+     * simulated cycle count behind timeMs.
+     */
     uarch::CounterSet counters;
 };
 

@@ -220,7 +220,8 @@ renderProfile(const ProfileResult &profile, int top_sites)
                                     static_cast<double>(e.count),
                                 1)});
         }
-        out += "\n" + t.render();
+        out += "\n";
+        out += t.render();
     }
 
     if (!profile.allocSites.empty()) {
@@ -233,7 +234,8 @@ renderProfile(const ProfileResult &profile, int top_sites)
             t.addRow({e.location, fmtCount(e.count),
                       fmtCount(e.bytes)});
         }
-        out += "\n" + t.render();
+        out += "\n";
+        out += t.render();
     }
 
     return out;

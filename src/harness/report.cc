@@ -114,7 +114,7 @@ writeSeriesCsv(std::ostream &os, const RunResult &run)
                 .field(static_cast<uint64_t>(inv))
                 .field(static_cast<uint64_t>(it))
                 .field(s.timeMs)
-                .field(s.simCycles)
+                .field(s.counters.cycles)
                 .field(s.counters.instructions)
                 .field(s.counters.ipc())
                 .field(s.counters.branchMpki())
@@ -145,7 +145,7 @@ runToJson(const RunResult &run)
         Json cycles = Json::array();
         for (const auto &s : inv.samples) {
             times.push(s.timeMs);
-            cycles.push(s.simCycles);
+            cycles.push(s.counters.cycles);
         }
         j.set("times_ms", std::move(times));
         j.set("sim_cycles", std::move(cycles));
@@ -238,9 +238,8 @@ runFromJson(const Json &doc)
         for (size_t k = 0; k < times.size(); ++k) {
             IterationSample s;
             s.timeMs = times.at(k).asDouble();
-            s.simCycles =
+            s.counters.cycles =
                 static_cast<uint64_t>(cycles.at(k).asInt());
-            s.counters.cycles = s.simCycles;
             inv.samples.push_back(std::move(s));
         }
         if (inv.samples.empty())

@@ -89,7 +89,6 @@ runOneInvocation(const vm::Program &prog,
     vm::InterpConfig icfg;
     icfg.tier = config.tier;
     icfg.jitThreshold = config.jitThreshold;
-    icfg.dispatchUops = config.dispatchUops;
     icfg.hashSeed = deriveSeed(inv_seed, 2, 0);
     icfg.aslrSeed = deriveSeed(inv_seed, 3, 0);
     icfg.captureOutput = false;
@@ -159,8 +158,7 @@ runOneInvocation(const vm::Program &prog,
         IterationSample sample;
         sample.counters = now.diff(prev);
         prev = now;
-        sample.simCycles = sample.counters.cycles;
-        sample.timeMs = static_cast<double>(sample.simCycles) /
+        sample.timeMs = static_cast<double>(sample.counters.cycles) /
             config.cyclesPerMs * noise.nextIterationFactor();
         if (fault)
             sample.timeMs *= FaultInjector::timeFactor(*fault, it);

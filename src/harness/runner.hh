@@ -54,8 +54,6 @@ struct RunnerConfig
     vm::Tier tier = vm::Tier::Interp;
     /** JIT hot threshold (adaptive tier). */
     int jitThreshold = kDefaultJitThreshold;
-    /** Interpreter dispatch cost in micro-ops (see InterpConfig). */
-    uint32_t dispatchUops = 6;
     /** Workload size (0 = the workload's defaultSize). */
     int64_t size = 0;
     /** Master seed; all invocation seeds derive from it. */

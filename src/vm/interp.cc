@@ -1093,12 +1093,17 @@ Interp::deleteSubscr(const Value &obj, const Value &idx)
                   "' does not support item deletion");
 }
 
+namespace {
+
+/**
+ * Rewrite each generic opcode to its guarded fast-path form. The
+ * adaptive and threaded tiers share this one map, and so the
+ * handlers.
+ */
 void
-Interp::jitCompile(const CodeObject *code, CodeRuntime &rt)
+specializeGeneric(std::vector<Instr> &instrs)
 {
-    rt.quickened = code->instrs;
-    rt.caches.assign(code->instrs.size(), {});
-    for (auto &ins : rt.quickened) {
+    for (auto &ins : instrs) {
         switch (ins.op) {
           case Op::BinaryAdd: ins.op = Op::AddIntInt; break;
           case Op::BinarySub: ins.op = Op::SubIntInt; break;
@@ -1115,6 +1120,16 @@ Interp::jitCompile(const CodeObject *code, CodeRuntime &rt)
             break;
         }
     }
+}
+
+} // namespace
+
+void
+Interp::jitCompile(const CodeObject *code, CodeRuntime &rt)
+{
+    rt.quickened = code->instrs;
+    rt.caches.assign(code->instrs.size(), {});
+    specializeGeneric(rt.quickened);
     rt.compiled = true;
     chargeCompile(code, cfg.jitCompileUopsPerInstr * code->instrs.size());
 }
@@ -1157,25 +1172,9 @@ Interp::threadedQuicken(const CodeObject *code, CodeRuntime &rt)
         }
     }
 
-    // Pass 2: specialize what is left generic (same opcode map as the
-    // adaptive tier, so both share the guarded fast-path handlers).
-    for (auto &ins : rt.quickened) {
-        switch (ins.op) {
-          case Op::BinaryAdd: ins.op = Op::AddIntInt; break;
-          case Op::BinarySub: ins.op = Op::SubIntInt; break;
-          case Op::BinaryMul: ins.op = Op::MulIntInt; break;
-          case Op::CompareLt: ins.op = Op::CompareLtIntInt; break;
-          case Op::CompareLe: ins.op = Op::CompareLeIntInt; break;
-          case Op::CompareGt: ins.op = Op::CompareGtIntInt; break;
-          case Op::CompareGe: ins.op = Op::CompareGeIntInt; break;
-          case Op::CompareEq: ins.op = Op::CompareEqIntInt; break;
-          case Op::ForIter: ins.op = Op::ForIterRange; break;
-          case Op::LoadAttr: ins.op = Op::LoadAttrCached; break;
-          case Op::LoadGlobal: ins.op = Op::LoadGlobalCached; break;
-          default:
-            break;
-        }
-    }
+    // Pass 2: specialize what is left generic, as the adaptive tier
+    // does.
+    specializeGeneric(rt.quickened);
 
     rt.threaded = true;
     // Quickening is a linear pass, not a compile: charge a few uops

@@ -126,8 +126,8 @@ appenderBody(const std::string &dir, int who)
     int previous = 0;
     for (int i = 0; i < kAppendsEach; ++i) {
         int id = ar.append(Json::object(),
-                           "w" + std::to_string(who), "run",
-                           {makeRun("wl" + std::to_string(i))});
+                           strprintf("w%d", who), "run",
+                           {makeRun(strprintf("wl%d", i))});
         // Ids grow monotonically even from this single process's
         // point of view; going backwards would mean a lost update.
         if (id <= previous)
@@ -209,7 +209,7 @@ TEST(ArchiveStress, ForkedAppendersAndReadersStayConsistent)
         EXPECT_EQ(e.id, static_cast<int>(i) + 1);
         EXPECT_TRUE(ids.insert(e.id).second);
         for (int w = 0; w < kAppenders; ++w)
-            perWriter[w] += e.label == "w" + std::to_string(w);
+            perWriter[w] += e.label == strprintf("w%d", w);
     }
     for (int w = 0; w < kAppenders; ++w)
         EXPECT_EQ(perWriter[w], kAppendsEach);

@@ -4,11 +4,14 @@
  * the defect with the action it *would* take; --repair fixes it and a
  * second pass comes back clean), plus the notice classes that must
  * never count as damage, the fsck.* metrics, and the JSON report
- * schema.
+ * schema. The last tests hold RunArchive::scan to fsck's verdicts:
+ * both read entries by the one rule in archive/entry_format.hh.
  */
 
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <set>
 #include <string>
 
 #include <unistd.h>
@@ -16,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "archive/archive.hh"
+#include "archive/entry_format.hh"
 #include "archive/fsck.hh"
 #include "support/durable_io.hh"
 #include "support/logging.hh"
@@ -80,7 +84,7 @@ seedArchive(const std::string &dir, int n)
     RunArchive ar(dir);
     for (int i = 1; i <= n; ++i)
         ASSERT_EQ(ar.append(Json::object(), "", "run",
-                            {makeRun("w" + std::to_string(i))}),
+                            {makeRun(strprintf("w%d", i))}),
                   i);
 }
 
@@ -411,6 +415,177 @@ TEST(Fsck, RepairIsIdempotentAcrossDefectMix)
     EXPECT_EQ(second.entriesOk, 2);
     EXPECT_EQ(second.quarantinedPresent, 1);
     EXPECT_EQ(second.headId, 3);
+}
+
+/** Payload defects a CRC cannot catch: the envelope still verifies. */
+enum class PayloadDefect
+{
+    NoCommand,
+    IntFingerprint,
+    NoRuns,
+};
+
+const char *
+defectName(PayloadDefect d)
+{
+    switch (d) {
+      case PayloadDefect::NoCommand: return "no-command";
+      case PayloadDefect::IntFingerprint: return "int-fingerprint";
+      case PayloadDefect::NoRuns: return "empty-runs";
+    }
+    return "?";
+}
+
+constexpr PayloadDefect kPayloadDefects[] = {
+    PayloadDefect::NoCommand,
+    PayloadDefect::IntFingerprint,
+    PayloadDefect::NoRuns,
+};
+
+/**
+ * Re-wrap the healthy entry at `path` with `defect` in a fresh,
+ * CRC-valid envelope. writeStateFile rotates the healthy copy to
+ * `.bak`; without `keepBackup` that backup is removed.
+ */
+void
+plantPayloadDefect(const std::string &path, PayloadDefect defect,
+                   bool keepBackup)
+{
+    Json payload = loadStateFile(path).payload;
+    switch (defect) {
+      case PayloadDefect::NoCommand:
+        payload.erase("command");
+        break;
+      case PayloadDefect::IntFingerprint:
+        payload.set("fingerprint", 42);
+        break;
+      case PayloadDefect::NoRuns:
+        payload.set("runs", Json::array());
+        break;
+    }
+    writeStateFile(path, payload);
+    std::string bak = stateBackupPath(path);
+    ASSERT_EQ(::access(bak.c_str(), F_OK), 0);
+    if (!keepBackup) {
+        ASSERT_EQ(::unlink(bak.c_str()), 0);
+    }
+}
+
+TEST(EntryRule, PayloadDefectWithBackupIsListedFromTheBackup)
+{
+    for (PayloadDefect defect : kPayloadDefects) {
+        SCOPED_TRACE(defectName(defect));
+        ScratchDir scratch;
+        seedArchive(scratch.dir(), 3);
+        plantPayloadDefect(scratch.path("entry-000002.json"), defect,
+                           true);
+
+        RunArchive ar(scratch.dir());
+        ScanResult scan;
+        ASSERT_NO_THROW(scan = ar.scan());
+        ASSERT_EQ(scan.entries.size(), 3u);
+        EXPECT_TRUE(scan.quarantined.empty());
+        EXPECT_EQ(scan.entries[1].command, "run");
+        EXPECT_EQ(ar.resolve("2").runs[0].workload, "w2");
+        EXPECT_EQ(ar.resolve("HEAD").runs[0].workload, "w3");
+    }
+}
+
+TEST(EntryRule, PayloadDefectWithoutBackupIsQuarantined)
+{
+    for (PayloadDefect defect : kPayloadDefects) {
+        SCOPED_TRACE(defectName(defect));
+        ScratchDir scratch;
+        seedArchive(scratch.dir(), 3);
+        std::string bad = scratch.path("entry-000002.json");
+        plantPayloadDefect(bad, defect, false);
+
+        RunArchive ar(scratch.dir());
+        ScanResult scan;
+        ASSERT_NO_THROW(scan = ar.scan());
+        ASSERT_EQ(scan.entries.size(), 2u);
+        EXPECT_EQ(scan.entries[0].id, 1);
+        EXPECT_EQ(scan.entries[1].id, 3);
+        ASSERT_EQ(scan.quarantined.size(), 1u);
+        EXPECT_EQ(scan.quarantined[0], bad + ".quarantine");
+        EXPECT_EQ(ar.resolve("HEAD").runs[0].workload, "w3");
+        EXPECT_THROW(ar.resolve("2"), FatalError);
+    }
+}
+
+TEST(EntryRule, CorruptMainWithFutureBackupIsLeftInPlace)
+{
+    ScratchDir scratch;
+    seedArchive(scratch.dir(), 1);
+    std::string main = scratch.path("entry-000002.json");
+    Json future = Json::object();
+    future.set("schema", kArchiveEntrySchema);
+    future.set("version", 999);
+    writeStateFile(main + ".bak", future);
+    writeRaw(main, "torn");
+
+    FsckReport repair = fsckArchive(scratch.dir(), true);
+    const FsckFinding *f = findingOf(repair, "future-version");
+    ASSERT_NE(f, nullptr);
+    EXPECT_TRUE(f->notice);
+    EXPECT_EQ(f->path, main);
+    EXPECT_TRUE(repair.clean());
+
+    ScanResult scan = RunArchive(scratch.dir()).scan();
+    ASSERT_EQ(scan.entries.size(), 1u);
+    EXPECT_TRUE(scan.quarantined.empty());
+    EXPECT_EQ(readRaw(main), "torn");
+    EXPECT_EQ(::access((main + ".bak").c_str(), F_OK), 0);
+}
+
+TEST(EntryRule, ScanAgreesWithFsckAcrossDefectMix)
+{
+    ScratchDir scratch;
+    seedArchive(scratch.dir(), 9);
+    // The RepairIsIdempotentAcrossDefectMix setup...
+    std::string e1 = scratch.path("entry-000001.json");
+    writeRaw(e1 + ".bak", readRaw(e1));
+    writeRaw(e1, "torn");
+    writeRaw(scratch.path("entry-000002.json"), "garbage");
+    writeRaw(scratch.path("entry-000010.json.tmp"), "x");
+    // ... plus every payload defect, with and without a backup
+    // (entry 3 stays healthy).
+    int id = 4;
+    for (PayloadDefect defect : kPayloadDefects)
+        for (bool keepBackup : {true, false})
+            plantPayloadDefect(scratch.path(entryFileName(id++)),
+                               defect, keepBackup);
+
+    std::set<std::string> flagged;
+    std::set<int> fsckListed;
+    std::set<std::string> fsckQuarantined;
+    FsckReport verify = fsckArchive(scratch.dir(), false);
+    for (const auto &f : verify.findings) {
+        flagged.insert(f.path);
+        int fid = entryIdFromName(f.path.substr(f.path.rfind('/') + 1));
+        if (f.kind == "corrupt-main")
+            fsckListed.insert(fid);
+        if (f.kind == "corrupt-entry")
+            fsckQuarantined.insert(f.path);
+    }
+    for (const auto &[mid, name] : listDir(scratch.dir()).mains)
+        if (!flagged.count(scratch.path(name)))
+            fsckListed.insert(mid);
+    EXPECT_EQ(fsckListed, (std::set<int>{1, 3, 4, 6, 8}));
+    EXPECT_EQ(fsckQuarantined.size(), 4u);
+
+    ScanResult scan = RunArchive(scratch.dir()).scan();
+    std::set<int> scanListed;
+    for (const auto &e : scan.entries)
+        scanListed.insert(e.id);
+    std::set<std::string> scanQuarantined;
+    for (const auto &aside : scan.quarantined) {
+        ASSERT_TRUE(endsWith(aside, kQuarantineSuffix)) << aside;
+        scanQuarantined.insert(aside.substr(
+            0, aside.size() - std::strlen(kQuarantineSuffix)));
+    }
+    EXPECT_EQ(scanListed, fsckListed);
+    EXPECT_EQ(scanQuarantined, fsckQuarantined);
 }
 
 } // namespace

@@ -122,7 +122,7 @@ TEST(Runner, ProducesRequestedDesign)
         EXPECT_EQ(inv.samples.size(), 20u);
         for (const auto &s : inv.samples) {
             EXPECT_GT(s.timeMs, 0.0);
-            EXPECT_GT(s.simCycles, 0u);
+            EXPECT_GT(s.counters.cycles, 0u);
             EXPECT_GT(s.counters.instructions, 0u);
         }
     }

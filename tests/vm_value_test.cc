@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/logging.hh"
 #include "vm/value.hh"
 
 namespace rigor {
@@ -169,7 +170,7 @@ TEST(Dict, InsertionOrderSurvivesRehash)
     DictObj d(99);
     d.incRef();
     for (int i = 0; i < 200; ++i)
-        d.set(makeStr("k" + std::to_string(i)), Value::makeInt(i));
+        d.set(makeStr(strprintf("k%d", i)), Value::makeInt(i));
     int expected = 0;
     for (const auto &e : d.entries()) {
         if (!e.live)

@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-echo "== regular build =="
-cmake -B build -S . >/dev/null
+echo "== regular build (warnings are errors) =="
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
