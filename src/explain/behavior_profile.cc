@@ -84,7 +84,7 @@ buildProfile(const harness::RunResult &run,
     p.model.l2HitCycles = lat.l2Hit;
     p.model.llcHitCycles = lat.llcHit;
     p.model.dramCycles = lat.dram;
-    p.model.cyclesPerMs = config.cyclesPerMs;
+    p.model.cyclesPerMs = harness::kCyclesPerMs;
     return p;
 }
 

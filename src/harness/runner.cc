@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -43,8 +44,8 @@ attemptSeed(const RunnerConfig &config, int invocation, int attempt)
     return deriveSeed(inv_seed, 4, static_cast<uint64_t>(attempt));
 }
 
-/** Internal control-flow signal: this attempt failed; retry it. */
-struct InvocationAbort
+/** Why an attempt failed; also thrown inside runAttempt() to end it. */
+struct AttemptFailure
 {
     FailureKind kind;
     std::string message;
@@ -57,42 +58,68 @@ durationBucketsMs()
     return MetricsRegistry::exponentialBuckets(0.001, 4.0, 16);
 }
 
-/** Execute one VM invocation attempt of the experiment design. */
-InvocationResult
-runOneInvocation(const vm::Program &prog,
-                 const workloads::WorkloadSpec &spec,
-                 const RunnerConfig &config, int64_t size,
-                 int invocation_index, int attempt, uint64_t inv_seed)
+/**
+ * What one invocation attempt did, as plain data. Attempts touch no
+ * metrics, trace or log sink (at --jobs N they run on worker
+ * threads); commitAttempt() renders the record into the sinks on the
+ * committing thread.
+ */
+struct AttemptRecord
 {
-    MetricsRegistry *metrics = config.metrics;
-    TraceEmitter *tr = config.trace;
+    /** The fault armed for this attempt, if any. */
+    const FaultSpec *fault = nullptr;
+    /**
+     * Seed, checksum, VM stats and the timed iteration samples. A
+     * deadline-tripping iteration is timed, so it is among them.
+     */
+    InvocationResult result;
+    /** Every iteration finished (before any cross-invocation check). */
+    bool finished = false;
+    /**
+     * The model's counters at attempt end; unset when a Throw fault
+     * fired before the VM started.
+     */
+    std::optional<uarch::CounterSet> counters;
+    /** The VM's events in execution order. */
+    std::vector<vm::VmEvent> vmEvents;
+    /**
+     * Index into vmEvents where each begun iteration's events start
+     * (module setup's come before the first). It has one entry more
+     * than result.samples when the last iteration threw before it was
+     * timed.
+     */
+    std::vector<size_t> iterationEvents;
+    /** Unset when the attempt succeeded. */
+    std::optional<AttemptFailure> failure;
+};
 
-    const FaultSpec *fault = config.faults
-        ? config.faults->query(spec.name, invocation_index, attempt)
+/** Execute one VM invocation attempt of the experiment design. */
+AttemptRecord
+runAttempt(const vm::Program &prog, const workloads::WorkloadSpec &spec,
+           const RunnerConfig &config, int64_t size, int invocation,
+           int attempt)
+{
+    AttemptRecord rec;
+    uint64_t seed = attemptSeed(config, invocation, attempt);
+    rec.result.invocationSeed = seed;
+    rec.fault = config.faults
+        ? config.faults->query(spec.name, invocation, attempt)
         : nullptr;
-    if (fault) {
-        if (metrics)
-            metrics->counter("harness.faults_injected").inc();
-        if (tr) {
-            Json args = Json::object();
-            args.set("kind", faultKindName(fault->kind));
-            args.set("invocation", invocation_index);
-            args.set("attempt", attempt);
-            tr->instant("fault_injected", "harness", std::move(args));
-        }
+    if (rec.fault && rec.fault->kind == FaultKind::Throw) {
+        rec.failure = AttemptFailure{
+            FailureKind::VmError,
+            strprintf("injected fault: VmError in %s invocation %d "
+                      "attempt %d",
+                      spec.name.c_str(), invocation, attempt)};
+        return rec;
     }
-    if (fault && fault->kind == FaultKind::Throw)
-        throw vm::VmError(strprintf(
-            "injected fault: VmError in %s invocation %d attempt %d",
-            spec.name.c_str(), invocation_index, attempt));
 
     vm::InterpConfig icfg;
     icfg.tier = config.tier;
     icfg.jitThreshold = config.jitThreshold;
-    icfg.hashSeed = deriveSeed(inv_seed, 2, 0);
-    icfg.aslrSeed = deriveSeed(inv_seed, 3, 0);
+    icfg.hashSeed = deriveSeed(seed, 2, 0);
+    icfg.aslrSeed = deriveSeed(seed, 3, 0);
     icfg.captureOutput = false;
-    icfg.trace = tr;
 
     uarch::PerfModelConfig ucfg = config.uarch;
     if (config.tier == vm::Tier::Threaded) {
@@ -100,121 +127,135 @@ runOneInvocation(const vm::Program &prog,
         ucfg.dispatchHistoryOps = kThreadedDispatchHistoryOps;
     }
 
-    // The uarch model is the VM's only observer. The vm.<tier>.*
-    // totals are derived from the counts the VM and the model already
-    // keep, once per attempt, on every exit: an aborted attempt's
-    // work was done too.
     uarch::PerfModel model(ucfg);
     vm::Interp interp(prog, icfg, &model);
-    struct VmTotals
-    {
-        MetricsRegistry *metrics;
-        vm::Tier tier;
-        const vm::Interp &interp;
-        const uarch::PerfModel &model;
-        ~VmTotals()
-        {
-            if (metrics)
-                recordVmTotals(*metrics, tier, interp.stats(),
-                               model.snapshot());
+    InvocationResult &r = rec.result;
+    try {
+        interp.runModule();
+        NoiseModel noise(config.noise, seed);
+        r.samples.reserve(static_cast<size_t>(config.iterations));
+        double elapsed_ms = 0.0;
+        uarch::CounterSet prev = model.snapshot();
+        for (int it = 0; it < config.iterations; ++it) {
+            rec.iterationEvents.push_back(interp.events().size());
+            vm::Value v =
+                interp.callGlobal("run", {vm::Value::makeInt(size)});
+
+            int64_t checksum = v.isInt()
+                ? v.asInt()
+                : static_cast<int64_t>(v.numeric());
+            if (r.samples.empty()) {
+                r.checksum = checksum;
+            } else if (r.checksum != checksum) {
+                throw AttemptFailure{
+                    FailureKind::ChecksumMismatch,
+                    strprintf("workload %s: checksum changed between "
+                              "iterations (%lld vs %lld)",
+                              spec.name.c_str(),
+                              static_cast<long long>(r.checksum),
+                              static_cast<long long>(checksum))};
+            }
+
+            uarch::CounterSet now = model.snapshot();
+            IterationSample sample;
+            sample.counters = now.diff(prev);
+            prev = now;
+            sample.timeMs =
+                static_cast<double>(sample.counters.cycles) /
+                kCyclesPerMs * noise.nextIterationFactor();
+            if (rec.fault)
+                sample.timeMs *=
+                    FaultInjector::timeFactor(*rec.fault, it);
+            elapsed_ms += sample.timeMs;
+            r.samples.push_back(std::move(sample));
+            if (config.deadlineMs > 0.0 &&
+                elapsed_ms > config.deadlineMs)
+                throw AttemptFailure{
+                    FailureKind::DeadlineExceeded,
+                    strprintf("workload %s: invocation %d exceeded the "
+                              "%.1f ms deadline after %d iterations "
+                              "(%.1f ms modelled)",
+                              spec.name.c_str(), invocation,
+                              config.deadlineMs, it + 1, elapsed_ms)};
         }
-    } totals{metrics, config.tier, interp, model};
-    interp.runModule();
-
-    NoiseModel noise(config.noise, inv_seed);
-
-    InvocationResult inv_result;
-    inv_result.invocationSeed = inv_seed;
-    inv_result.samples.reserve(
-        static_cast<size_t>(config.iterations));
-
-    double elapsed_ms = 0.0;
-    uarch::CounterSet prev = model.snapshot();
-    for (int it = 0; it < config.iterations; ++it) {
-        if (tr) {
-            Json args = Json::object();
-            args.set("index", it);
-            tr->beginSpan("iteration", "harness", std::move(args));
-        }
-        vm::Value r =
-            interp.callGlobal("run", {vm::Value::makeInt(size)});
-
-        int64_t checksum = r.isInt()
-            ? r.asInt()
-            : static_cast<int64_t>(r.numeric());
-        if (inv_result.samples.empty()) {
-            inv_result.checksum = checksum;
-        } else if (inv_result.checksum != checksum) {
-            throw InvocationAbort{
-                FailureKind::ChecksumMismatch,
-                strprintf("workload %s: checksum changed between "
-                          "iterations (%lld vs %lld)",
-                          spec.name.c_str(),
-                          static_cast<long long>(inv_result.checksum),
-                          static_cast<long long>(checksum))};
-        }
-
-        uarch::CounterSet now = model.snapshot();
-        IterationSample sample;
-        sample.counters = now.diff(prev);
-        prev = now;
-        sample.timeMs = static_cast<double>(sample.counters.cycles) /
-            config.cyclesPerMs * noise.nextIterationFactor();
-        if (fault)
-            sample.timeMs *= FaultInjector::timeFactor(*fault, it);
-        elapsed_ms += sample.timeMs;
-        // The modelled clock advances even when the deadline check
-        // below aborts: the aborted iteration's time did pass.
-        if (tr)
-            tr->advanceMs(sample.timeMs);
-        if (metrics) {
-            metrics->counter("harness.iterations").inc();
-            metrics
-                ->histogram("harness.iteration_ms",
-                            durationBucketsMs())
-                .observe(sample.timeMs);
-        }
-        if (config.deadlineMs > 0.0 && elapsed_ms > config.deadlineMs)
-            throw InvocationAbort{
-                FailureKind::DeadlineExceeded,
-                strprintf("workload %s: invocation %d exceeded the "
-                          "%.1f ms deadline after %d iterations "
-                          "(%.1f ms modelled)",
-                          spec.name.c_str(), invocation_index,
-                          config.deadlineMs, it + 1, elapsed_ms)};
-        if (tr)
-            tr->endSpan();
-        inv_result.samples.push_back(std::move(sample));
+        rec.finished = true;
+        if (rec.fault && rec.fault->kind == FaultKind::CorruptChecksum)
+            r.checksum ^= 0x5A5A5A5ALL;
+    } catch (const vm::VmError &e) {
+        rec.failure = AttemptFailure{FailureKind::VmError, e.what()};
+    } catch (const AttemptFailure &f) {
+        rec.failure = f;
     }
-    if (metrics)
-        metrics
-            ->histogram("harness.invocation_ms", durationBucketsMs())
-            .observe(elapsed_ms);
-    inv_result.vmStats = interp.stats();
+    // An aborted attempt's work was done too: its totals count.
+    r.vmStats = interp.stats();
+    rec.counters = model.snapshot();
+    rec.vmEvents = interp.events();
+    return rec;
+}
 
-    if (fault && fault->kind == FaultKind::CorruptChecksum)
-        inv_result.checksum ^= 0x5A5A5A5ALL;
-    return inv_result;
+/** Every attempt of one invocation slot, in order. */
+struct SlotOutcome
+{
+    std::vector<AttemptRecord> attempts;
+
+    /** The last attempt succeeded (the slot stops at a success). */
+    bool succeeded() const { return !attempts.back().failure; }
+};
+
+/**
+ * Run the attempt loop of one invocation slot: attempts until one
+ * succeeds or maxRetries retries have failed.
+ *
+ * @param ref_checksum checksum of the run's first successful
+ * invocation for cross-invocation verification, or nullptr if no
+ * invocation has succeeded yet or, for a speculative slot, the
+ * reference is not yet known (see extendExperiment()).
+ */
+SlotOutcome
+runSlot(const vm::Program &prog, const workloads::WorkloadSpec &spec,
+        const RunnerConfig &config, int64_t size, int inv,
+        const int64_t *ref_checksum)
+{
+    SlotOutcome out;
+    for (int attempt = 0; attempt <= config.maxRetries; ++attempt) {
+        AttemptRecord rec =
+            runAttempt(prog, spec, config, size, inv, attempt);
+        // Cross-invocation checksum verification against the first
+        // successful invocation. With a single prior invocation the
+        // blame is ambiguous; we presume the established reference is
+        // correct.
+        if (!rec.failure && ref_checksum &&
+            rec.result.checksum != *ref_checksum)
+            rec.failure = AttemptFailure{
+                FailureKind::ChecksumMismatch,
+                strprintf("workload %s: checksum differs across "
+                          "invocations (%lld vs %lld)",
+                          spec.name.c_str(),
+                          static_cast<long long>(rec.result.checksum),
+                          static_cast<long long>(*ref_checksum))};
+        out.attempts.push_back(std::move(rec));
+        if (out.succeeded())
+            break;
+    }
+    return out;
 }
 
 /** Capped exponential backoff charged before retry `attempt + 1`. */
 double
-backoffMs(const RunnerConfig &config, int attempt)
+backoffMs(int attempt)
 {
-    double delay = config.backoffBaseMs;
-    for (int i = 0; i < attempt && delay < config.backoffCapMs; ++i)
+    double delay = kBackoffBaseMs;
+    for (int i = 0; i < attempt && delay < kBackoffCapMs; ++i)
         delay *= 2.0;
-    return std::min(delay, config.backoffCapMs);
+    return std::min(delay, kBackoffCapMs);
 }
 
 /**
  * warn() plus a mirror of the message into the trace as a "log"
  * instant at the current modelled time. Mirroring is owned by the
- * runner, not by whatever log sink is installed: that way the
- * instant lands at the same position in the document whether the
- * message is delivered immediately (serial) or buffered and replayed
- * at commit time (parallel). Quiet runs mirror nothing, matching the
- * sink-after-setQuiet contract.
+ * runner, not by whatever log sink is installed, so the instant lands
+ * next to the events it narrates. Quiet runs mirror nothing, matching
+ * the sink-after-setQuiet contract.
  */
 __attribute__((format(printf, 2, 3))) void
 warnTraced(TraceEmitter *tr, const char *fmt, ...)
@@ -230,133 +271,157 @@ warnTraced(TraceEmitter *tr, const char *fmt, ...)
     warn("%s", msg.c_str());
 }
 
-/**
- * Everything one invocation slot produced: the retry loop's failure
- * records plus the successful result (if any). Slots have no side
- * effects on the RunResult — the caller commits outcomes in
- * invocation order, which is what keeps parallel execution
- * byte-identical to serial.
- */
-struct SlotOutcome
+/** Emit vmEvents[from, to) as trace instants. */
+void
+renderVmEvents(TraceEmitter &tr, const std::vector<vm::VmEvent> &events,
+               size_t from, size_t to)
 {
-    bool succeeded = false;
-    InvocationResult result;
-    std::vector<InvocationFailure> failures;
-};
-
-/**
- * Run the full attempt loop (with retries and backoff) for one
- * invocation slot. Metric, trace and log output goes to whatever
- * sinks config carries: the shared ones on the serial path,
- * per-worker buffers on the parallel path.
- *
- * @param ref_checksum checksum of the run's first successful
- * invocation for cross-invocation verification, or nullptr if no
- * invocation has succeeded yet (or, on the parallel path, if the
- * reference is not yet known — see extendParallel()).
- */
-SlotOutcome
-runInvocationSlot(const vm::Program &prog,
-                  const workloads::WorkloadSpec &spec,
-                  const RunnerConfig &config, int64_t size, int inv,
-                  const int64_t *ref_checksum)
-{
-    SlotOutcome out;
-    MetricsRegistry *metrics = config.metrics;
-    TraceEmitter *tr = config.trace;
-    if (metrics)
-        metrics->counter("harness.invocations_attempted").inc();
-    for (int attempt = 0; attempt <= config.maxRetries; ++attempt) {
-        uint64_t seed = attemptSeed(config, inv, attempt);
-        InvocationFailure failure;
-        failure.invocation = inv;
-        failure.attempt = attempt;
-        failure.seed = seed;
-        size_t spanDepth = tr ? tr->openSpans() : 0;
-        if (tr) {
-            Json args = Json::object();
-            args.set("index", inv);
-            args.set("attempt", attempt);
-            tr->beginSpan("invocation", "harness", std::move(args));
+    for (size_t i = from; i < to; ++i) {
+        const vm::VmEvent &e = events[i];
+        Json args = Json::object();
+        if (e.kind == vm::VmEvent::Kind::JitCompile) {
+            args.set("code_id", static_cast<int64_t>(e.codeId));
+            args.set("cost_uops", static_cast<int64_t>(e.costUops));
+            tr.instant("jit_compile", "vm", std::move(args));
+        } else {
+            args.set("op", vm::opName(e.op));
+            tr.instant("deopt", "vm", std::move(args));
         }
-        try {
-            InvocationResult r = runOneInvocation(
-                prog, spec, config, size, inv, attempt, seed);
-            // Cross-invocation checksum verification against the
-            // first successful invocation. With a single prior
-            // invocation the blame is ambiguous; we presume the
-            // established reference is correct.
-            if (ref_checksum && r.checksum != *ref_checksum) {
-                throw InvocationAbort{
-                    FailureKind::ChecksumMismatch,
-                    strprintf(
-                        "workload %s: checksum differs across "
-                        "invocations (%lld vs %lld)",
-                        spec.name.c_str(),
-                        static_cast<long long>(r.checksum),
-                        static_cast<long long>(*ref_checksum))};
-            }
-            out.result = std::move(r);
-            out.succeeded = true;
-            if (metrics)
-                metrics->counter("harness.invocations").inc();
-            if (tr)
-                tr->endSpan();
-            break;
-        } catch (const vm::VmError &e) {
-            failure.kind = FailureKind::VmError;
-            failure.message = e.what();
-        } catch (const InvocationAbort &a) {
-            failure.kind = a.kind;
-            failure.message = a.message;
-        }
-        if (attempt < config.maxRetries)
-            failure.backoffMs = backoffMs(config, attempt);
-        if (metrics) {
-            metrics->counter("harness.failures").inc();
-            metrics
-                ->counter(strprintf(
-                    "harness.failures.%s",
-                    failureKindName(failure.kind)))
-                .inc();
-            if (attempt < config.maxRetries)
-                metrics->counter("harness.retries").inc();
-        }
-        if (tr) {
-            Json args = Json::object();
-            args.set("kind", failureKindName(failure.kind));
-            args.set("invocation", inv);
-            args.set("attempt", attempt);
-            args.set("message", failure.message);
-            tr->instant("invocation_failure", "harness",
-                        std::move(args));
-            // Close the aborted iteration + invocation spans.
-            tr->endSpansTo(spanDepth);
-            if (attempt < config.maxRetries) {
-                tr->advanceMs(failure.backoffMs);
-                Json rargs = Json::object();
-                rargs.set("invocation", inv);
-                rargs.set("next_attempt", attempt + 1);
-                rargs.set("backoff_ms", failure.backoffMs);
-                tr->instant("retry", "harness", std::move(rargs));
-            }
-        }
-        warnTraced(tr,
-                   "workload %s: invocation %d attempt %d failed "
-                   "(%s): %s",
-                   spec.name.c_str(), inv, attempt,
-                   failureKindName(failure.kind),
-                   failure.message.c_str());
-        out.failures.push_back(std::move(failure));
     }
-    return out;
 }
 
 /**
- * Fold one slot's outcome into the run: append failure records and
- * the result, then apply the consecutive-failure / quarantine
- * accounting. Always runs on the committing thread, in invocation
- * order, against the shared sinks.
+ * Render one attempt into the metrics, trace and log sinks and fold
+ * it into the run: its result on success, its failure record
+ * otherwise.
+ * @return whether the attempt succeeded.
+ */
+bool
+commitAttempt(const workloads::WorkloadSpec &spec,
+              const RunnerConfig &config, RunResult &run,
+              AttemptRecord &&rec, int inv, int attempt)
+{
+    MetricsRegistry *metrics = config.metrics;
+    TraceEmitter *tr = config.trace;
+
+    size_t spanDepth = tr ? tr->openSpans() : 0;
+    if (tr) {
+        Json args = Json::object();
+        args.set("index", inv);
+        args.set("attempt", attempt);
+        tr->beginSpan("invocation", "harness", std::move(args));
+    }
+    if (rec.fault) {
+        if (metrics)
+            metrics->counter("harness.faults_injected").inc();
+        if (tr) {
+            Json args = Json::object();
+            args.set("kind", faultKindName(rec.fault->kind));
+            args.set("invocation", inv);
+            args.set("attempt", attempt);
+            tr->instant("fault_injected", "harness", std::move(args));
+        }
+    }
+
+    const std::vector<vm::VmEvent> &events = rec.vmEvents;
+    const std::vector<size_t> &starts = rec.iterationEvents;
+    const std::vector<IterationSample> &samples = rec.result.samples;
+    if (tr)
+        renderVmEvents(*tr, events, 0,
+                       starts.empty() ? events.size() : starts[0]);
+    // The iteration that tripped the deadline stays open until the
+    // failure below closes it.
+    bool tripped = rec.failure &&
+        rec.failure->kind == FailureKind::DeadlineExceeded;
+    double elapsed_ms = 0.0;
+    for (size_t it = 0; it < starts.size(); ++it) {
+        if (tr) {
+            Json args = Json::object();
+            args.set("index", static_cast<int64_t>(it));
+            tr->beginSpan("iteration", "harness", std::move(args));
+            renderVmEvents(*tr, events, starts[it],
+                           it + 1 < starts.size() ? starts[it + 1]
+                                                  : events.size());
+        }
+        if (it == samples.size())
+            break;  // began but threw before it was timed
+        double ms = samples[it].timeMs;
+        elapsed_ms += ms;
+        if (tr)
+            tr->advanceMs(ms);
+        if (metrics) {
+            metrics->counter("harness.iterations").inc();
+            metrics
+                ->histogram("harness.iteration_ms", durationBucketsMs())
+                .observe(ms);
+        }
+        if (tr && !(tripped && it + 1 == samples.size()))
+            tr->endSpan();
+    }
+    if (metrics && rec.finished)
+        metrics->histogram("harness.invocation_ms", durationBucketsMs())
+            .observe(elapsed_ms);
+    if (metrics && rec.counters)
+        recordVmTotals(*metrics, config.tier, rec.result.vmStats,
+                       *rec.counters);
+
+    if (!rec.failure) {
+        if (metrics)
+            metrics->counter("harness.invocations").inc();
+        if (tr)
+            tr->endSpan();
+        run.invocations.push_back(std::move(rec.result));
+        return true;
+    }
+
+    InvocationFailure failure;
+    failure.kind = rec.failure->kind;
+    failure.invocation = inv;
+    failure.attempt = attempt;
+    failure.seed = rec.result.invocationSeed;
+    failure.message = std::move(rec.failure->message);
+    bool retry = attempt < config.maxRetries;
+    if (retry)
+        failure.backoffMs = backoffMs(attempt);
+    if (metrics) {
+        metrics->counter("harness.failures").inc();
+        metrics
+            ->counter(strprintf("harness.failures.%s",
+                                failureKindName(failure.kind)))
+            .inc();
+        if (retry)
+            metrics->counter("harness.retries").inc();
+    }
+    if (tr) {
+        Json args = Json::object();
+        args.set("kind", failureKindName(failure.kind));
+        args.set("invocation", inv);
+        args.set("attempt", attempt);
+        args.set("message", failure.message);
+        tr->instant("invocation_failure", "harness", std::move(args));
+        // Close the aborted iteration + invocation spans.
+        tr->endSpansTo(spanDepth);
+        if (retry) {
+            tr->advanceMs(failure.backoffMs);
+            Json rargs = Json::object();
+            rargs.set("invocation", inv);
+            rargs.set("next_attempt", attempt + 1);
+            rargs.set("backoff_ms", failure.backoffMs);
+            tr->instant("retry", "harness", std::move(rargs));
+        }
+    }
+    warnTraced(tr,
+               "workload %s: invocation %d attempt %d failed (%s): %s",
+               spec.name.c_str(), inv, attempt,
+               failureKindName(failure.kind), failure.message.c_str());
+    run.failures.push_back(std::move(failure));
+    return false;
+}
+
+/**
+ * Fold one slot into the run: render each attempt, then apply the
+ * consecutive-failure / quarantine accounting. Always runs on the
+ * committing thread, in invocation order, against the shared sinks.
  */
 void
 commitSlot(const workloads::WorkloadSpec &spec,
@@ -366,11 +431,13 @@ commitSlot(const workloads::WorkloadSpec &spec,
     MetricsRegistry *metrics = config.metrics;
     TraceEmitter *tr = config.trace;
 
-    for (auto &f : out.failures)
-        run.failures.push_back(std::move(f));
-    bool succeeded = out.succeeded;
-    if (succeeded)
-        run.invocations.push_back(std::move(out.result));
+    if (metrics)
+        metrics->counter("harness.invocations_attempted").inc();
+    bool succeeded = false;
+    for (size_t a = 0; a < out.attempts.size(); ++a)
+        succeeded = commitAttempt(spec, config, run,
+                                  std::move(out.attempts[a]), inv,
+                                  static_cast<int>(a));
     run.invocationsAttempted = inv + 1;
     if (succeeded) {
         run.consecutiveFailures = 0;
@@ -394,14 +461,13 @@ commitSlot(const workloads::WorkloadSpec &spec,
 }
 
 /**
- * Commit-boundary bookkeeping shared by the serial loop and the
- * parallel committer: fire the periodic checkpoint callback at the
- * configured cadence and poll the interrupt flag. An interrupt fires
- * the callback too, regardless of cadence, so the final checkpoint
- * always reflects the last committed slot — and it fires *before* the
- * caller returns and runExperiment closes the workload trace span,
- * because the checkpoint must capture the span as still open for the
- * resume to continue it.
+ * Commit-boundary bookkeeping: fire the periodic checkpoint callback
+ * at the configured cadence and poll the interrupt flag. An interrupt
+ * fires the callback too, regardless of cadence, so the final
+ * checkpoint always reflects the last committed slot — and it fires
+ * *before* the caller returns and runExperiment closes the workload
+ * trace span, because the checkpoint must capture the span as still
+ * open for the resume to continue it.
  *
  * @return true when the run should stop (interrupt requested).
  */
@@ -422,109 +488,76 @@ afterCommit(const RunnerConfig &config, RunResult &run)
 }
 
 /**
- * RAII capture of this thread's warn()/inform() output into a
- * buffer. The committer replays the buffered text through the normal
- * sink chain in invocation order, so a parallel run's log stream is
- * identical to a serial run's whatever sink the embedder installed.
- * (Trace mirroring is not the capture's job — warnTraced() already
- * placed the instant in the worker's trace buffer.)
+ * Worker threads that run invocation slots ahead of the committer.
+ * Slot u of the pool is invocation `start + u`. Destruction stops
+ * handing out slots and joins the workers.
  */
-class ThreadLogCapture
+class SlotPool
 {
   public:
-    explicit ThreadLogCapture(
-        std::vector<std::pair<LogLevel, std::string>> *buf)
+    SlotPool(const workloads::WorkloadSpec &spec,
+             const RunnerConfig &config, int64_t size, int start, int n,
+             int threads)
+        : units(static_cast<size_t>(n))
     {
-        prev = setThreadLogSink(
-            [buf](LogLevel level, const std::string &msg) {
-                buf->emplace_back(level, msg);
+        pool.reserve(static_cast<size_t>(threads));
+        for (int t = 0; t < threads; ++t)
+            pool.emplace_back([this, &spec, &config, size, start, n] {
+                work(spec, config, size, start, n);
             });
     }
 
-    ~ThreadLogCapture() { setThreadLogSink(std::move(prev)); }
+    ~SlotPool()
+    {
+        cancelled.store(true, std::memory_order_relaxed);
+        for (auto &t : pool)
+            t.join();
+    }
 
-    ThreadLogCapture(const ThreadLogCapture &) = delete;
-    ThreadLogCapture &operator=(const ThreadLogCapture &) = delete;
+    SlotPool(const SlotPool &) = delete;
+    SlotPool &operator=(const SlotPool &) = delete;
+
+    /** Wait for slot u and take its outcome (rethrows its error). */
+    SlotOutcome
+    take(int u)
+    {
+        Unit &unit = units[static_cast<size_t>(u)];
+        {
+            std::unique_lock<std::mutex> lock(mu);
+            cv.wait(lock, [&] { return unit.done; });
+        }
+        if (unit.error)
+            std::rethrow_exception(unit.error);
+        return std::move(unit.outcome);
+    }
 
   private:
-    LogSink prev;
-};
-
-/**
- * Parallel invocation execution: workers run slots speculatively into
- * per-slot buffers; this (committing) thread folds the buffers into
- * the shared sinks and the RunResult in invocation order.
- *
- * Speculation: a worker cannot know the run's reference checksum (it
- * is established by the *earliest successful* invocation), so slots
- * run without cross-invocation verification. The committer performs
- * the check on the ordered stream; on a mismatch — only possible with
- * checksum-corrupting faults — it discards the slot's buffers and
- * re-executes the slot in-line with the true reference, which
- * reproduces the speculative attempts bit for bit (attempt seeds are
- * pure functions of the config) before diverging into the retry path
- * a serial run would have taken.
- */
-void
-extendParallel(const workloads::WorkloadSpec &spec,
-               const RunnerConfig &config, RunResult &run, int start,
-               int additional, const vm::Program &prog, int64_t size)
-{
     struct Unit
     {
         SlotOutcome outcome;
-        std::unique_ptr<MetricsRegistry> metrics;
-        std::unique_ptr<TraceEmitter> trace;
-        std::vector<std::pair<LogLevel, std::string>> logs;
         std::exception_ptr error;
         bool done = false;  ///< guarded by mu
     };
 
-    const int n = additional;
-    std::vector<Unit> units(static_cast<size_t>(n));
-    std::mutex mu;
-    std::condition_variable cv;
-    std::atomic<int> next{0};
-    std::atomic<bool> cancelled{false};
-
-    // Workers inherit the spawning thread's effective quiet state:
-    // a per-thread quiet override (the serve daemon's way of honoring
-    // one job's --quiet among concurrently streaming jobs) must apply
-    // to the worker-side warnTraced() calls too, or a quiet parallel
-    // job would mirror log instants into the trace that a quiet
-    // serial run suppresses.
-    const bool parentQuiet = quietEnabled();
-    auto workerMain = [&]() {
-        bool prevQuiet = setThreadQuiet(parentQuiet);
+    void
+    work(const workloads::WorkloadSpec &spec, const RunnerConfig &config,
+         int64_t size, int start, int n)
+    {
         // Each worker compiles its own program: compiled constants
         // hold refcounted Values, and refcounts are not atomic, so a
         // Program must never be shared across threads.
-        std::unique_ptr<vm::Program> wprog;
+        std::unique_ptr<vm::Program> prog;
         for (;;) {
             int u = next.fetch_add(1, std::memory_order_relaxed);
             if (u >= n || cancelled.load(std::memory_order_relaxed))
-                break;
+                return;
             Unit &unit = units[static_cast<size_t>(u)];
             try {
-                if (!wprog)
-                    wprog = std::make_unique<vm::Program>(
+                if (!prog)
+                    prog = std::make_unique<vm::Program>(
                         vm::compileSource(spec.source, spec.name));
-                RunnerConfig ucfg = config;
-                if (config.metrics) {
-                    // Buffered: merge() then replays histogram
-                    // observations in order for bit-exact sums.
-                    unit.metrics =
-                        std::make_unique<MetricsRegistry>(true);
-                    ucfg.metrics = unit.metrics.get();
-                }
-                if (config.trace) {
-                    unit.trace =
-                        std::make_unique<TraceEmitter>(true);
-                    ucfg.trace = unit.trace.get();
-                }
-                ThreadLogCapture capture(&unit.logs);
-                unit.outcome = runInvocationSlot(
-                    *wprog, spec, ucfg, size, start + u, nullptr);
+                unit.outcome =
+                    runSlot(*prog, spec, config, size, start + u, nullptr);
             } catch (...) {
                 unit.error = std::current_exception();
             }
@@ -534,58 +567,15 @@ extendParallel(const workloads::WorkloadSpec &spec,
             }
             cv.notify_all();
         }
-        setThreadQuiet(prevQuiet);
-    };
-
-    int nthreads = std::min(config.jobs, n);
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(nthreads));
-    for (int t = 0; t < nthreads; ++t)
-        pool.emplace_back(workerMain);
-    auto joinAll = [&]() {
-        cancelled.store(true, std::memory_order_relaxed);
-        for (auto &t : pool)
-            if (t.joinable())
-                t.join();
-    };
-
-    try {
-        for (int u = 0; u < n; ++u) {
-            Unit &unit = units[static_cast<size_t>(u)];
-            {
-                std::unique_lock<std::mutex> lock(mu);
-                cv.wait(lock, [&] { return unit.done; });
-            }
-            if (unit.error)
-                std::rethrow_exception(unit.error);
-            int inv = start + u;
-            const int64_t *ref = run.invocations.empty()
-                ? nullptr
-                : &run.invocations.front().checksum;
-            if (unit.outcome.succeeded && ref &&
-                unit.outcome.result.checksum != *ref) {
-                SlotOutcome redo = runInvocationSlot(
-                    prog, spec, config, size, inv, ref);
-                commitSlot(spec, config, run, std::move(redo), inv);
-            } else {
-                if (config.trace && unit.trace)
-                    config.trace->append(std::move(*unit.trace));
-                if (config.metrics && unit.metrics)
-                    config.metrics->merge(*unit.metrics);
-                for (const auto &[level, msg] : unit.logs)
-                    emitLogMessage(level, msg);
-                commitSlot(spec, config, run,
-                           std::move(unit.outcome), inv);
-            }
-            if (afterCommit(config, run) || run.quarantined)
-                break;
-        }
-    } catch (...) {
-        joinAll();
-        throw;
     }
-    joinAll();
-}
+
+    std::vector<Unit> units;
+    std::mutex mu;
+    std::condition_variable cv;
+    std::atomic<int> next{0};
+    std::atomic<bool> cancelled{false};
+    std::vector<std::thread> pool;
+};
 
 } // namespace
 
@@ -655,17 +645,26 @@ extendExperiment(const workloads::WorkloadSpec &spec,
 
     int start = std::max(run.invocationsAttempted,
                          static_cast<int>(run.invocations.size()));
-    if (config.jobs > 1 && additional > 1) {
-        extendParallel(spec, config, run, start, additional, prog,
-                       size);
-        return;
-    }
-    for (int inv = start; inv < start + additional; ++inv) {
+    int threads = std::min(config.jobs, additional);
+    std::optional<SlotPool> pool;
+    if (threads > 1)
+        pool.emplace(spec, config, size, start, additional, threads);
+    for (int u = 0; u < additional; ++u) {
+        int inv = start + u;
         const int64_t *ref = run.invocations.empty()
             ? nullptr
             : &run.invocations.front().checksum;
-        SlotOutcome out =
-            runInvocationSlot(prog, spec, config, size, inv, ref);
+        SlotOutcome out = pool
+            ? pool->take(u)
+            : runSlot(prog, spec, config, size, inv, ref);
+        // A pooled slot ran before the reference checksum was known.
+        // A success that fails the cross-invocation check is redone
+        // here with the reference: attempt seeds are pure functions
+        // of the config, so the redo repeats the speculative attempts
+        // bit for bit before it takes the retry path.
+        if (out.succeeded() && ref &&
+            out.attempts.back().result.checksum != *ref)
+            out = runSlot(prog, spec, config, size, inv, ref);
         commitSlot(spec, config, run, std::move(out), inv);
         if (afterCommit(config, run) || run.quarantined)
             return;

@@ -43,6 +43,17 @@ inline constexpr int kDefaultJitThreshold = 4000;
 inline constexpr uint32_t kThreadedDispatchUops = 1;
 inline constexpr unsigned kThreadedDispatchHistoryOps = 6;
 
+/** Modelled clock in cycles per millisecond (3 GHz). */
+inline constexpr double kCyclesPerMs = 3.0e6;
+
+/**
+ * Modelled backoff before the first retry of an invocation; it
+ * doubles per retry up to kBackoffCapMs. Charged to the failure
+ * record and the trace clock, not slept.
+ */
+inline constexpr double kBackoffBaseMs = 1.0;
+inline constexpr double kBackoffCapMs = 64.0;
+
 /** Configuration of one experiment run. */
 struct RunnerConfig
 {
@@ -62,15 +73,14 @@ struct RunnerConfig
     NoiseConfig noise;
     /** Microarchitecture model parameters. */
     uarch::PerfModelConfig uarch;
-    /** Modelled clock in cycles per millisecond (3 GHz default). */
-    double cyclesPerMs = 3.0e6;
 
     /**
      * Worker threads executing invocations (1 = serial). Every
      * invocation derives an independent seed, so invocations are
-     * sharded across a pool and their results committed in invocation
-     * order; report, metrics, trace and resume artifacts are
-     * byte-identical to a serial run (see docs/METHODOLOGY.md §11).
+     * sharded across a pool; the calling thread commits their results
+     * in invocation order, so report, metrics, trace and resume
+     * artifacts are byte-identical at any value (see
+     * docs/METHODOLOGY.md §11).
      */
     int jobs = 1;
 
@@ -78,11 +88,6 @@ struct RunnerConfig
 
     /** Retries per invocation after a failed attempt (0 = fail fast). */
     int maxRetries = 2;
-    /** Base modelled backoff before the first retry; doubles per
-     *  retry. Charged to the failure record, not slept. */
-    double backoffBaseMs = 1.0;
-    /** Backoff cap (exponential growth stops here). */
-    double backoffCapMs = 64.0;
     /**
      * Quarantine the workload after this many *consecutive*
      * invocations whose every attempt failed (0 disables quarantine;
@@ -120,10 +125,9 @@ struct RunnerConfig
     /**
      * Fire onCheckpoint every this many committed invocation slots
      * (0 disables periodic checkpoints). Checkpoints happen at commit
-     * boundaries on both the serial and the parallel committer path,
-     * so the captured state is exactly what a fresh run would have
-     * after that many invocations — which is why the final artifacts
-     * are invariant under checkpoint cadence.
+     * boundaries, so the captured state is exactly what a fresh run
+     * would have after that many invocations — which is why the final
+     * artifacts are invariant under checkpoint cadence.
      */
     int checkpointEvery = 0;
     /**
@@ -165,13 +169,15 @@ void recordVmTotals(MetricsRegistry &metrics, vm::Tier tier,
 /**
  * Run the full experiment design for one workload.
  *
- * Parallelism: with config.jobs > 1 the (independent-seeded)
- * invocations are executed by a worker pool. Workers run invocation
- * slots speculatively into per-worker metric/trace/log buffers; a
- * single committer folds the buffers into the shared sinks in
- * invocation order, so retry, checksum-verification and quarantine
- * decisions are made on the ordered result stream and every artifact
- * is byte-identical to jobs == 1.
+ * Observability: an invocation attempt touches no sink. It returns
+ * what it did as data (samples, VM totals, VM events, its failure),
+ * and the calling thread renders each attempt into config.metrics,
+ * config.trace and the log in invocation order. There is one commit
+ * loop for every config.jobs value; with jobs > 1 a worker pool runs
+ * the (independently seeded) slots ahead of it, and retry,
+ * checksum-verification and quarantine decisions are still made on
+ * the ordered stream, so every artifact is byte-identical to
+ * jobs == 1.
  *
  * Failure handling: a VmError, a checksum divergence (between
  * iterations or across invocations) or a blown deadline no longer

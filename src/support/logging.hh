@@ -74,8 +74,7 @@ void setQuiet(bool quiet);
  * Thread-local quiet override: silences this thread's warn()/inform()
  * (and everything that checks quietEnabled()) without touching other
  * threads. The serve daemon uses it to honor one job's --quiet while
- * other jobs stream normally; the parallel runner propagates it to
- * its workers so a quiet job stays quiet at any --jobs value.
+ * other jobs stream normally.
  * @return the previous thread-local value, for RAII restoration.
  */
 bool setThreadQuiet(bool quiet);
@@ -113,11 +112,10 @@ LogSink setLogSink(LogSink sink);
 
 /**
  * Install a *thread-local* sink that takes precedence over the
- * process-global one on this thread. The parallel harness gives each
- * worker a capture sink so messages from concurrent invocations can
- * be buffered and replayed in deterministic order instead of
- * interleaving racily. Passing an empty function removes the
- * override. setQuiet() still applies first.
+ * process-global one on this thread. The serve daemon gives each job
+ * thread one, so concurrent jobs' messages never interleave. Passing
+ * an empty function removes the override. setQuiet() still applies
+ * first.
  * @return the previously installed thread-local sink.
  */
 LogSink setThreadLogSink(LogSink sink);
@@ -125,7 +123,8 @@ LogSink setThreadLogSink(LogSink sink);
 /**
  * Deliver an already-formatted message through the normal sink chain
  * (thread-local sink, then global sink, then stderr), respecting
- * setQuiet(). Used to replay buffered worker messages at commit time.
+ * setQuiet(). The serve client uses it to replay a daemon job's log
+ * events locally.
  */
 void emitLogMessage(LogLevel level, const std::string &msg);
 

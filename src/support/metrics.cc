@@ -6,8 +6,8 @@
 
 namespace rigor {
 
-Histogram::Histogram(std::vector<double> upper_bounds, bool buffered)
-    : bounds_(std::move(upper_bounds)), buffered_(buffered)
+Histogram::Histogram(std::vector<double> upper_bounds)
+    : bounds_(std::move(upper_bounds))
 {
     if (bounds_.empty())
         panic("Histogram: at least one bucket bound required");
@@ -27,8 +27,6 @@ Histogram::observe(double v)
     ++counts[static_cast<size_t>(it - bounds_.begin())];
     ++count_;
     sum_ += v;
-    if (buffered_)
-        log_.push_back(v);
 }
 
 uint64_t
@@ -57,9 +55,6 @@ Histogram::restore(const std::vector<uint64_t> &bucket_counts,
                    uint64_t count, double sum)
 {
     std::lock_guard<std::mutex> lock(mu);
-    if (buffered_)
-        panic("Histogram::restore on a buffered histogram (the "
-              "replay log cannot be reconstructed)");
     if (count_ != 0)
         panic("Histogram::restore: histogram already has "
               "observations");
@@ -69,42 +64,6 @@ Histogram::restore(const std::vector<uint64_t> &bucket_counts,
     counts = bucket_counts;
     count_ = count;
     sum_ = sum;
-}
-
-void
-Histogram::merge(const Histogram &other)
-{
-    if (other.bounds_ != bounds_)
-        panic("Histogram::merge: bucket bounds differ");
-    if (other.buffered_) {
-        // Replay the source's observations one by one: summing in
-        // the original observation order reproduces the exact
-        // floating-point value a serial sequence of observe() calls
-        // produces (addition is not associative, so adding the
-        // source's partial sum in one step would not).
-        std::vector<double> log;
-        {
-            std::lock_guard<std::mutex> lock(other.mu);
-            log = other.log_;
-        }
-        for (double v : log)
-            observe(v);
-        return;
-    }
-    uint64_t other_count;
-    double other_sum;
-    std::vector<uint64_t> other_counts;
-    {
-        std::lock_guard<std::mutex> lock(other.mu);
-        other_count = other.count_;
-        other_sum = other.sum_;
-        other_counts = other.counts;
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    for (size_t i = 0; i < counts.size(); ++i)
-        counts[i] += other_counts[i];
-    count_ += other_count;
-    sum_ += other_sum;
 }
 
 Counter &
@@ -149,7 +108,7 @@ MetricsRegistry::histogram(const std::string &name,
     return *histograms
                 .emplace(name,
                          std::make_unique<Histogram>(
-                             std::move(upper_bounds), buffered_))
+                             std::move(upper_bounds)))
                 .first->second;
 }
 
@@ -159,21 +118,6 @@ MetricsRegistry::counterValue(const std::string &name) const
     std::lock_guard<std::mutex> lock(mu);
     auto it = counters.find(name);
     return it == counters.end() ? 0 : it->second->value();
-}
-
-void
-MetricsRegistry::merge(const MetricsRegistry &other)
-{
-    // Lock ordering: `other` belongs to a finished worker with no
-    // concurrent writers, but take its lock anyway for safety; the
-    // committer is the only caller, so there is no lock-order cycle.
-    std::lock_guard<std::mutex> other_lock(other.mu);
-    for (const auto &[name, c] : other.counters)
-        counter(name).inc(c->value());
-    for (const auto &[name, g] : other.gauges)
-        gauge(name).set(g->value());
-    for (const auto &[name, h] : other.histograms)
-        histogram(name, h->bounds()).merge(*h);
 }
 
 Json
@@ -220,9 +164,6 @@ MetricsRegistry::restoreFromJson(const Json &doc)
 {
     {
         std::lock_guard<std::mutex> lock(mu);
-        if (buffered_)
-            panic("MetricsRegistry::restoreFromJson on a buffered "
-                  "registry");
         if (!counters.empty() || !gauges.empty() ||
             !histograms.empty())
             panic("MetricsRegistry::restoreFromJson: registry is "

@@ -12,11 +12,11 @@
  *
  * Thread safety: metric updates are atomic (counters, gauges) or
  * mutex-guarded (histograms), and registry lookups are guarded, so
- * concurrent workers may share one registry. Counter and histogram
- * updates commute, which means a shared snapshot is deterministic
- * regardless of interleaving; for full byte-identity including gauges
- * the parallel harness instead gives each worker a private registry
- * and merge()s them in canonical order.
+ * concurrent threads may share one registry. Counter updates commute;
+ * a histogram's sum does not (floating-point addition is not
+ * associative), so byte-identical snapshots need the observations in
+ * a fixed order. The harness gets that order by recording every
+ * metric on one committing thread (see harness/runner.hh).
  */
 
 #ifndef RIGOR_SUPPORT_METRICS_HH
@@ -75,13 +75,8 @@ class Gauge
 class Histogram
 {
   public:
-    /**
-     * @param upper_bounds strictly increasing bucket upper bounds.
-     * @param buffered record every observation so merge() can replay
-     * them one by one (used by per-worker registries; see below).
-     */
-    explicit Histogram(std::vector<double> upper_bounds,
-                       bool buffered = false);
+    /** @param upper_bounds strictly increasing bucket upper bounds. */
+    explicit Histogram(std::vector<double> upper_bounds);
 
     /** Record one observation. */
     void observe(double v);
@@ -94,7 +89,7 @@ class Histogram
     std::vector<uint64_t> bucketCounts() const;
 
     /**
-     * Overwrite this (empty, unbuffered) histogram's state with
+     * Overwrite this (empty) histogram's state with
      * checkpointed data: per-bucket counts, total count and the exact
      * partial sum. Later observe() calls continue the very same
      * floating-point accumulation a never-checkpointed histogram
@@ -104,24 +99,10 @@ class Histogram
     void restore(const std::vector<uint64_t> &bucket_counts,
                  uint64_t count, double sum);
 
-    /**
-     * Fold another histogram's observations into this one. The bucket
-     * bounds must match exactly (it is a bug if they do not). When
-     * `other` is buffered its observations are replayed one by one,
-     * so `sum` accumulates in the same floating-point order a direct
-     * sequence of observe() calls would have used — this is what
-     * keeps merged snapshots bit-identical to serial ones. A
-     * non-buffered source merges additively instead (counts exact,
-     * sum correct up to FP reassociation).
-     */
-    void merge(const Histogram &other);
-
   private:
     std::vector<double> bounds_;
-    const bool buffered_;
     mutable std::mutex mu;
     std::vector<uint64_t> counts;  ///< bounds_.size() + 1 entries
-    std::vector<double> log_;      ///< observations (buffered only)
     uint64_t count_ = 0;
     double sum_ = 0.0;
 };
@@ -135,16 +116,6 @@ class Histogram
 class MetricsRegistry
 {
   public:
-    /**
-     * @param buffered create buffered histograms (see Histogram) so
-     * merge()ing this registry into another replays observations in
-     * their original order. The parallel harness gives each worker a
-     * buffered registry.
-     */
-    explicit MetricsRegistry(bool buffered = false)
-        : buffered_(buffered)
-    {}
-
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
     /**
@@ -158,15 +129,6 @@ class MetricsRegistry
     uint64_t counterValue(const std::string &name) const;
 
     /**
-     * Fold another registry into this one: counter values and
-     * histogram observations add; gauges are last-write-wins (the
-     * merged-in value overwrites). Because std::map keeps name order
-     * canonical, merging per-worker registries in a fixed order
-     * reproduces a serial run's snapshot byte for byte.
-     */
-    void merge(const MetricsRegistry &other);
-
-    /**
      * Snapshot every metric:
      *   {"counters": {name: value, ...},
      *    "gauges": {name: value, ...},
@@ -178,8 +140,8 @@ class MetricsRegistry
 
     /**
      * Rebuild a registry from a toJson() snapshot (resume after a
-     * checkpoint). Must be called on a freshly-constructed, unbuffered
-     * registry (panics otherwise): counters, gauges and histograms —
+     * checkpoint). Must be called on a freshly-constructed registry
+     * (panics otherwise): counters, gauges and histograms —
      * bucket bounds included — are recreated exactly as dumped, so
      * toJson() of the restored registry reproduces the snapshot byte
      * for byte and further updates continue the original accumulation.
@@ -195,7 +157,6 @@ class MetricsRegistry
                                                   int count);
 
   private:
-    const bool buffered_ = false;
     mutable std::mutex mu;  ///< guards the three maps
     std::map<std::string, std::unique_ptr<Counter>> counters;
     std::map<std::string, std::unique_ptr<Gauge>> gauges;

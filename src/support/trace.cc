@@ -4,28 +4,6 @@
 
 namespace rigor {
 
-void
-TraceEmitter::advanceMs(double ms)
-{
-    clockMs += ms;
-    if (buffered_) {
-        TraceOp op;
-        op.advanceMs = ms;
-        ops.push_back(op);
-    }
-}
-
-void
-TraceEmitter::pushEvent(Json e)
-{
-    if (buffered_) {
-        TraceOp op;
-        op.eventIndex = static_cast<int>(events.size());
-        ops.push_back(op);
-    }
-    events.push_back(std::move(e));
-}
-
 Json
 TraceEmitter::makeEvent(const char *phase, const std::string &name,
                         const std::string &cat) const
@@ -47,7 +25,7 @@ TraceEmitter::beginSpan(const std::string &name,
     Json e = makeEvent("B", name, cat);
     if (!args.isNull())
         e.set("args", std::move(args));
-    pushEvent(std::move(e));
+    events.push_back(std::move(e));
     openNames.push_back(name);
 }
 
@@ -61,7 +39,7 @@ TraceEmitter::endSpan(Json args)
     Json e = makeEvent("E", openNames.back(), "");
     if (!args.isNull())
         e.set("args", std::move(args));
-    pushEvent(std::move(e));
+    events.push_back(std::move(e));
     openNames.pop_back();
 }
 
@@ -73,7 +51,7 @@ TraceEmitter::instant(const std::string &name, const std::string &cat,
     e.set("s", "t");  // thread-scoped instant
     if (!args.isNull())
         e.set("args", std::move(args));
-    pushEvent(std::move(e));
+    events.push_back(std::move(e));
 }
 
 void
@@ -83,28 +61,6 @@ TraceEmitter::logInstant(const std::string &level,
     Json args = Json::object();
     args.set("message", msg);
     instant(level, "log", std::move(args));
-}
-
-void
-TraceEmitter::append(TraceEmitter &&sub)
-{
-    if (!sub.buffered_)
-        panic("TraceEmitter::append: source emitter is not buffered");
-    if (!sub.openNames.empty())
-        panic("TraceEmitter::append: source has %zu open span(s)",
-              sub.openNames.size());
-    for (const TraceOp &op : sub.ops) {
-        if (op.eventIndex < 0) {
-            advanceMs(op.advanceMs);
-        } else {
-            Json &e = sub.events[static_cast<size_t>(op.eventIndex)];
-            e.set("ts", nowUs());
-            pushEvent(std::move(e));
-        }
-    }
-    sub.events.clear();
-    sub.ops.clear();
-    sub.clockMs = 0.0;
 }
 
 void
@@ -145,8 +101,6 @@ TraceEmitter::checkpointJson() const
 void
 TraceEmitter::restoreCheckpoint(const Json &doc)
 {
-    if (buffered_)
-        panic("TraceEmitter::restoreCheckpoint on a buffered emitter");
     if (!events.empty() || !openNames.empty() || clockMs != 0.0)
         panic("TraceEmitter::restoreCheckpoint: emitter is not "
               "pristine");

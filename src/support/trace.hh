@@ -25,26 +25,16 @@
 
 namespace rigor {
 
-/** Builds one Chrome trace-event document for a run. */
+/**
+ * Builds one Chrome trace-event document for a run. Not thread-safe:
+ * one thread emits. The harness emits everything from its committing
+ * thread, so a run's document is the same at any --jobs value.
+ */
 class TraceEmitter
 {
   public:
-    /**
-     * @param buffered a buffered emitter additionally records the
-     * sequence of clock advances and emissions so append() can replay
-     * it into another emitter later. The parallel harness hands each
-     * worker a buffered emitter (clock starting at 0) and appends the
-     * buffers to the main emitter in canonical invocation order;
-     * because the replay repeats the exact advance-by-advance clock
-     * arithmetic of a serial run, the merged document is
-     * byte-identical to single-threaded execution.
-     */
-    explicit TraceEmitter(bool buffered = false)
-        : buffered_(buffered)
-    {}
-
     /** Advance the modelled clock by `ms` milliseconds. */
-    void advanceMs(double ms);
+    void advanceMs(double ms) { clockMs += ms; }
 
     /** Current modelled time in trace units (microseconds). */
     double nowUs() const { return clockMs * 1000.0; }
@@ -70,8 +60,8 @@ class TraceEmitter
      * name = the level ("warn"/"info"), category "log", args
      * {"message": msg}. Every place that mirrors a status message
      * into a trace (the runner for its own warnings, the CLI for
-     * suite progress) uses this single helper so serial and parallel
-     * runs mirror messages in an identical format.
+     * suite progress) uses this single helper, so every mirrored
+     * message has the same format.
      */
     void logInstant(const std::string &level, const std::string &msg);
 
@@ -87,19 +77,6 @@ class TraceEmitter
 
     /** Total events emitted so far. */
     size_t eventCount() const { return events.size(); }
-
-    /** True if this emitter records a replayable op log. */
-    bool buffered() const { return buffered_; }
-
-    /**
-     * Replay a *buffered* emitter's recorded ops into this emitter:
-     * clock advances advance this clock, events are re-stamped with
-     * this clock and appended. The replay performs the same sequence
-     * of floating-point additions a serial run would, so timestamps
-     * come out bit-identical. `sub` must be buffered, must have no
-     * open spans, and is drained by the call (left empty, clock 0).
-     */
-    void append(TraceEmitter &&sub);
 
     /**
      * The complete document:
@@ -122,7 +99,7 @@ class TraceEmitter
 
     /**
      * Rebuild emitter state from a checkpointJson() snapshot. Must be
-     * called on a pristine, unbuffered emitter (panics otherwise).
+     * called on a pristine emitter (panics otherwise).
      * After the restore, further emissions continue the original
      * clock arithmetic, so a resumed run's final trace is
      * byte-identical to an uninterrupted one.
@@ -130,26 +107,12 @@ class TraceEmitter
     void restoreCheckpoint(const Json &doc);
 
   private:
-    /**
-     * One replay-log entry of a buffered emitter: either a clock
-     * advance (eventIndex < 0) or the emission of events[eventIndex].
-     */
-    struct TraceOp
-    {
-        double advanceMs = 0.0;
-        int eventIndex = -1;
-    };
-
     Json makeEvent(const char *phase, const std::string &name,
                    const std::string &cat) const;
-    /** Append an event, recording it in the op log when buffered. */
-    void pushEvent(Json e);
 
     std::vector<Json> events;
     std::vector<std::string> openNames;  ///< span-nesting stack
-    std::vector<TraceOp> ops;            ///< replay log (buffered only)
     double clockMs = 0.0;
-    bool buffered_ = false;
 };
 
 } // namespace rigor

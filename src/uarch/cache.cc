@@ -25,7 +25,9 @@ Cache::access(uint64_t addr)
     ++accessCount;
     uint64_t line_addr = addr / geom.lineBytes;
     uint32_t set = static_cast<uint32_t>(line_addr & (setCount - 1));
-    uint64_t tag = line_addr >> 1;  // keep overlap with set bits; fine
+    // The full line address: with a single set, no bits go to the
+    // set index, so dropping any would alias distinct lines.
+    uint64_t tag = line_addr;
 
     Line *base = &lines[static_cast<size_t>(set) * geom.ways];
     Line *victim = base;

@@ -6,7 +6,6 @@
 
 #include "support/logging.hh"
 #include "support/rng.hh"
-#include "support/trace.hh"
 
 namespace rigor {
 namespace vm {
@@ -253,12 +252,9 @@ Interp::chargeCompile(const CodeObject *code, uint64_t cost)
     stats_.jitCompileUops += cost;
     if (obs)
         obs->onJitCompile(code->codeId, cost);
-    if (cfg.trace) {
-        Json args = Json::object();
-        args.set("code_id", static_cast<int64_t>(code->codeId));
-        args.set("cost_uops", static_cast<int64_t>(cost));
-        cfg.trace->instant("jit_compile", "vm", std::move(args));
-    }
+    events_.push_back({.kind = VmEvent::Kind::JitCompile,
+                       .codeId = code->codeId,
+                       .costUops = cost});
 }
 
 void
@@ -268,11 +264,9 @@ Interp::guardFailed(Op op)
     ++stats_.perOpGuards[static_cast<size_t>(op)];
     if (obs)
         obs->onGuardFailure(op);
-    if (cfg.trace && deoptInstants < kMaxDeoptInstants) {
-        ++deoptInstants;
-        Json args = Json::object();
-        args.set("op", opName(op));
-        cfg.trace->instant("deopt", "vm", std::move(args));
+    if (deoptEvents < kMaxDeoptInstants) {
+        ++deoptEvents;
+        events_.push_back({.kind = VmEvent::Kind::Deopt, .op = op});
     }
 }
 

@@ -24,9 +24,6 @@
 #include "vm/value.hh"
 
 namespace rigor {
-
-class TraceEmitter;
-
 namespace vm {
 
 /** Which runtime tier executes the program. */
@@ -50,12 +47,32 @@ const char *tierName(Tier t);
 Tier tierFromName(const std::string &name);
 
 /**
- * Deopt trace instants one Interp emits at most. Guard failures can
- * number in the millions; an instant per deopt would dwarf the rest
- * of the trace, so only the first few become instants (the counters
- * still see every one).
+ * Deopt events one Interp records at most. Guard failures can number
+ * in the millions; an event per deopt would dwarf the rest of the
+ * trace, so only the first few are recorded (the counters still see
+ * every one).
  */
 constexpr uint64_t kMaxDeoptInstants = 64;
+
+/**
+ * One notable VM event, kept in execution order on the Interp. The VM
+ * records events as plain data; the harness renders them as trace
+ * instants when it commits the invocation.
+ */
+struct VmEvent
+{
+    enum class Kind : uint8_t
+    {
+        JitCompile,  ///< a code object was compiled or quickened
+        Deopt,       ///< a speculation guard failed
+    };
+    Kind kind = Kind::JitCompile;
+    /** JitCompile: the compiled code object and its modelled cost. */
+    uint32_t codeId = 0;
+    uint64_t costUops = 0;
+    /** Deopt: the opcode whose guard failed. */
+    Op op = Op::NumOpcodes;
+};
 
 /** Configuration of one VM invocation. */
 struct InterpConfig
@@ -97,13 +114,6 @@ struct InterpConfig
     int maxCallDepth = 800;
     /** If true, print() output is appended to Interp::output. */
     bool captureOutput = true;
-    /**
-     * Optional trace sink (not owned). When set, the VM emits a
-     * `jit_compile` instant per compiled/quickened code object and a
-     * `deopt` instant for each of the first kMaxDeoptInstants guard
-     * failures, timestamped at the modelled clock's current position.
-     */
-    TraceEmitter *trace = nullptr;
 };
 
 /** Dynamic-execution counters maintained by the VM. */
@@ -171,6 +181,13 @@ class Interp
 
     /** Execution statistics so far. */
     const InterpStats &stats() const { return stats_; }
+
+    /**
+     * Events so far: a JitCompile per compiled/quickened code object
+     * and a Deopt for each of the first kMaxDeoptInstants guard
+     * failures.
+     */
+    const std::vector<VmEvent> &events() const { return events_; }
 
     /** Captured print() output (when configured). */
     const std::string &output() const { return outputBuf; }
@@ -285,8 +302,9 @@ class Interp
     InterpConfig cfg;
     ExecutionObserver *obs;
     InterpStats stats_;
-    /** Deopt trace instants emitted so far (capped). */
-    uint64_t deoptInstants = 0;
+    std::vector<VmEvent> events_;
+    /** Deopt events recorded so far (capped). */
+    uint64_t deoptEvents = 0;
 
     DictObj *globalsDict = nullptr;
     DictObj *builtinsDict = nullptr;

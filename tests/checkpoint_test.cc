@@ -233,8 +233,6 @@ TEST(Checkpoint, TraceRestoreRequiresPristineEmitter)
     TraceEmitter dirty;
     dirty.advanceMs(1.0);
     EXPECT_THROW(dirty.restoreCheckpoint(snap), PanicError);
-    TraceEmitter buffered(true);
-    EXPECT_THROW(buffered.restoreCheckpoint(snap), PanicError);
 }
 
 TEST(Checkpoint, InterruptResumeIsByteIdenticalSerial)

@@ -215,69 +215,6 @@ TEST(Parallel, SharedRegistryStressTotalsAreExact)
     EXPECT_LT(g, static_cast<double>(kIters));
 }
 
-TEST(Parallel, RegistryMergeReplaysBufferedObservations)
-{
-    // The serial reference: observe everything into one histogram.
-    MetricsRegistry serial;
-    Histogram &hs = serial.histogram("h", {1.0, 10.0});
-    for (double v : {0.1, 0.2, 0.3, 5.0, 50.0})
-        hs.observe(v);
-
-    // Two buffered worker registries merged in order must reproduce
-    // the serial sum bit for bit (summation order is preserved by
-    // the replay, so floating-point non-associativity cannot bite).
-    MetricsRegistry main;
-    MetricsRegistry w1(true), w2(true);
-    Histogram &h1 = w1.histogram("h", {1.0, 10.0});
-    h1.observe(0.1);
-    h1.observe(0.2);
-    h1.observe(0.3);
-    w1.counter("c").inc(2);
-    Histogram &h2 = w2.histogram("h", {1.0, 10.0});
-    h2.observe(5.0);
-    h2.observe(50.0);
-    w2.counter("c").inc(3);
-    w2.gauge("g").set(7.5);
-    main.merge(w1);
-    main.merge(w2);
-
-    EXPECT_EQ(main.toJson().at("histograms").dump(2),
-              serial.toJson().at("histograms").dump(2));
-    EXPECT_EQ(main.counterValue("c"), 5u);
-    EXPECT_DOUBLE_EQ(main.gauge("g").value(), 7.5);
-}
-
-TEST(Parallel, TraceAppendReplaysClockArithmetic)
-{
-    // Serial reference: advances and events interleaved directly.
-    TraceEmitter serial;
-    serial.advanceMs(0.1);
-    serial.instant("a", "t");
-    serial.advanceMs(0.2);
-    serial.beginSpan("s", "t");
-    serial.advanceMs(0.3);
-    serial.endSpan();
-
-    // Same operations recorded in a buffered emitter, then appended.
-    TraceEmitter main;
-    TraceEmitter sub(true);
-    main.advanceMs(0.1);
-    main.instant("a", "t");
-    sub.advanceMs(0.2);
-    sub.beginSpan("s", "t");
-    sub.advanceMs(0.3);
-    sub.endSpan();
-    main.append(std::move(sub));
-
-    EXPECT_EQ(main.toJson().dump(1), serial.toJson().dump(1));
-    // Appending a non-buffered or still-open emitter is a bug.
-    TraceEmitter plain;
-    EXPECT_THROW(main.append(std::move(plain)), PanicError);
-    TraceEmitter open(true);
-    open.beginSpan("x", "t");
-    EXPECT_THROW(main.append(std::move(open)), PanicError);
-}
-
 } // namespace
 } // namespace harness
 } // namespace rigor

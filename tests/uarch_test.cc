@@ -41,6 +41,18 @@ TEST(Cache, LruEvictionWithinSet)
     EXPECT_FALSE(c.access(512));    // was evicted
 }
 
+TEST(Cache, SingleSetCacheKeepsAdjacentLinesApart)
+{
+    // 512 B, 8-way, 64 B lines: one set, so every bit of the line
+    // address must be in the tag.
+    Cache c({512, 64, 8});
+    EXPECT_FALSE(c.access(0));
+    EXPECT_FALSE(c.access(64));      // adjacent line: a distinct miss
+    EXPECT_TRUE(c.access(0));
+    EXPECT_TRUE(c.access(64));
+    EXPECT_EQ(c.misses(), 2u);
+}
+
 TEST(Cache, WorkingSetLargerThanCacheThrashes)
 {
     Cache c({4096, 64, 4});

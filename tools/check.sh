@@ -12,19 +12,19 @@ cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
-echo "== sanitizer build (ASan+UBSan) =="
+echo "== sanitizer build (ASan+UBSan, warnings are errors) =="
 cmake -B build-asan -S . -DRIGOR_SANITIZE=ON \
-    -DCMAKE_BUILD_TYPE=Debug >/dev/null
+    -DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan --output-on-failure -j "$jobs"
 
-echo "== switch-fallback dispatch build (-DRIGOR_NO_COMPUTED_GOTO) =="
+echo "== switch-fallback dispatch build (-DRIGOR_NO_COMPUTED_GOTO, -Werror) =="
 # The threaded tier's computed-goto loop has a portable switch twin;
 # both must build warning-free and produce byte-identical artifacts
 # (the *model* charges dispatch costs, not the host dispatch
 # mechanism).
 cmake -B build-nocg -S . \
-    -DCMAKE_CXX_FLAGS="-DRIGOR_NO_COMPUTED_GOTO" >/dev/null
+    -DCMAKE_CXX_FLAGS="-DRIGOR_NO_COMPUTED_GOTO -Werror" >/dev/null
 cmake --build build-nocg -j "$jobs" --target rigorbench
 
 echo "== parallel determinism (--jobs 4 vs --jobs 1, every tier) =="
