@@ -9,7 +9,6 @@
 #include "support/str.hh"
 #include "support/table.hh"
 #include "vm/compiler.hh"
-#include "vm/observer.hh"
 
 namespace rigor {
 namespace harness {
@@ -17,10 +16,10 @@ namespace harness {
 namespace {
 
 /**
- * Aggregates the per-site events of one profiling run; per-opcode
- * totals come from the VM's own counters.
+ * Aggregates the Branch and Alloc records of one profiling run by
+ * site; per-opcode totals come from the VM's own counters.
  */
-class ProfilingObserver : public vm::ExecutionObserver
+class SiteSink final : public vm::EventSink
 {
   public:
     struct SiteStats
@@ -30,19 +29,20 @@ class ProfilingObserver : public vm::ExecutionObserver
     };
 
     void
-    onBranch(uint64_t site, bool taken) override
+    consume(std::span<const vm::Record> records,
+            const vm::InterpStats &) noexcept override
     {
-        SiteStats &s = branchSites[site];
-        ++s.count;
-        s.secondary += taken ? 1 : 0;
-    }
-
-    void
-    onAllocSite(uint64_t site, uint32_t size) override
-    {
-        SiteStats &s = allocSites[site];
-        ++s.count;
-        s.secondary += size;
+        for (const vm::Record &r : records) {
+            if (r.kind == vm::Record::Kind::Branch) {
+                SiteStats &s = branchSites[r.site];
+                ++s.count;
+                s.secondary += r.flag ? 1 : 0;
+            } else if (r.kind == vm::Record::Kind::Alloc) {
+                SiteStats &s = allocSites[r.site];
+                ++s.count;
+                s.secondary += r.size;
+            }
+        }
     }
 
     // std::map keeps site order deterministic for equal-count ties.
@@ -92,8 +92,8 @@ profileWorkload(const workloads::WorkloadSpec &spec,
     icfg.hashSeed = sm.next();
     icfg.aslrSeed = sm.next();
 
-    ProfilingObserver obs;
-    vm::Interp interp(prog, icfg, &obs);
+    SiteSink sites;
+    vm::Interp interp(prog, icfg, &sites);
     interp.runModule();
 
     int64_t size =
@@ -136,7 +136,7 @@ profileWorkload(const workloads::WorkloadSpec &spec,
     std::map<uint32_t, std::string> codeNames;
     collectCodeNames(prog.module.get(), codeNames);
 
-    for (const auto &[site, stats] : obs.branchSites) {
+    for (const auto &[site, stats] : sites.branchSites) {
         BranchSiteEntry e;
         e.site = site;
         e.location = siteLocation(site, codeNames);
@@ -151,7 +151,7 @@ profileWorkload(const workloads::WorkloadSpec &spec,
                          return a.count > b.count;
                      });
 
-    for (const auto &[site, stats] : obs.allocSites) {
+    for (const auto &[site, stats] : sites.allocSites) {
         AllocSiteEntry e;
         e.site = site;
         e.location = siteLocation(site, codeNames);

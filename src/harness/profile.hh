@@ -3,7 +3,7 @@
  * Flat execution profiling: run one VM invocation of a workload and
  * turn its dynamic bytecode stream into a per-opcode profile (from
  * the VM's own per-opcode counters) plus hot branch / allocation site
- * tables (from a site observer).
+ * tables (from the Branch and Alloc records of its record stream).
  *
  * This is the "Explain" instrument of the Measure-Explain-Test-
  * Improve loop: when a timing result surprises, the profile shows

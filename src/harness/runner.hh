@@ -156,11 +156,11 @@ struct RunnerConfig
 /**
  * Add one VM invocation attempt's execution totals to the ten
  * "vm.<tier>.*" counters of `metrics` (registered even when zero).
- * Each count has one owner: the uarch model's counters give
- * bytecodes, dispatches, branches and allocations (with unrounded
- * sizes); the VM's give uops (compile work excluded), calls, compiles
- * and guard failures. The runner calls this on every exit from an
- * attempt, aborted ones included.
+ * Each count has one owner: the model's counters give branches and
+ * carry the VM's bytecodes, dispatches and allocations (unrounded
+ * sizes); InterpStats gives uops (compile work excluded), calls,
+ * compiles and guard failures. The runner calls this on every exit
+ * from an attempt, aborted ones included.
  */
 void recordVmTotals(MetricsRegistry &metrics, vm::Tier tier,
                     const vm::InterpStats &vm_stats,

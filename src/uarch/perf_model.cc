@@ -1,6 +1,9 @@
 #include "uarch/perf_model.hh"
 
 #include <cmath>
+#include <numeric>
+
+#include "vm/interp.hh"
 
 namespace rigor {
 namespace uarch {
@@ -17,53 +20,67 @@ PerfModel::PerfModel(PerfModelConfig config)
 }
 
 void
-PerfModel::onBytecode(vm::Op op, uint32_t uops)
+PerfModel::consume(std::span<const vm::Record> records,
+                   const vm::InterpStats &stats) noexcept
 {
-    (void)op;
-    ++counters.bytecodes;
-    counters.instructions += uops;
-}
-
-void
-PerfModel::onCodeFetch(uint64_t addr)
-{
-    if (!cfg.modelCaches)
-        return;
-    ++counters.l1iAccesses;
-    if (!icache.access(addr)) {
-        ++counters.l1iMisses;
-        penaltyCycles += cfg.l1iMissPenalty;
+    using Kind = vm::Record::Kind;
+    for (const vm::Record &r : records) {
+        switch (r.kind) {
+          case Kind::Fetch:
+            if (!cfg.modelCaches)
+                break;
+            ++counters.l1iAccesses;
+            if (!icache.access(r.addr)) {
+                ++counters.l1iMisses;
+                penaltyCycles += cfg.l1iMissPenalty;
+            }
+            break;
+          case Kind::Dispatch:
+            if (!cfg.modelBranches)
+                break;
+            if (!dispatchPred.predictAndUpdate(
+                    static_cast<uint16_t>(r.op))) {
+                ++counters.dispatchMisses;
+                penaltyCycles += cfg.dispatchMissPenalty;
+            }
+            break;
+          case Kind::Branch:
+            ++counters.branches;
+            if (!cfg.modelBranches)
+                break;
+            if (!branchPred->predictAndUpdate(r.site, r.flag)) {
+                ++counters.branchMisses;
+                penaltyCycles += cfg.branchMissPenalty;
+            }
+            break;
+          case Kind::Mem:
+            memAccess(r.addr, r.size, r.flag);
+            break;
+          case Kind::Alloc:
+            // Allocation writes the header line (write-allocate
+            // traffic).
+            memAccess(r.addr, r.size > 64 ? 64 : r.size, true);
+            break;
+          case Kind::Guard:
+            // Deopt path: modelled as a mispredicted branch.
+            penaltyCycles += cfg.branchMissPenalty;
+            break;
+        }
     }
+    // Compilation work is in `uops`: it retires like ordinary
+    // instructions and shows up as the warmup spike in per-iteration
+    // times.
+    counters.bytecodes = stats.bytecodes;
+    counters.instructions = stats.uops;
+    counters.dispatches = std::accumulate(stats.perOpDispatched.begin(),
+                                          stats.perOpDispatched.end(),
+                                          uint64_t{0});
+    counters.allocations = stats.allocations;
+    counters.allocatedBytes = stats.objectBytes;
 }
 
 void
-PerfModel::onDispatch(vm::Op op)
-{
-    ++counters.dispatches;
-    if (!cfg.modelBranches)
-        return;
-    bool correct =
-        dispatchPred.predictAndUpdate(static_cast<uint16_t>(op));
-    if (!correct) {
-        ++counters.dispatchMisses;
-        penaltyCycles += cfg.dispatchMissPenalty;
-    }
-}
-
-void
-PerfModel::onBranch(uint64_t site, bool taken)
-{
-    ++counters.branches;
-    if (!cfg.modelBranches)
-        return;
-    if (!branchPred->predictAndUpdate(site, taken)) {
-        ++counters.branchMisses;
-        penaltyCycles += cfg.branchMissPenalty;
-    }
-}
-
-void
-PerfModel::onMemAccess(uint64_t addr, uint32_t size, bool is_write)
+PerfModel::memAccess(uint64_t addr, uint32_t size, bool is_write)
 {
     if (is_write)
         ++counters.stores;
@@ -87,32 +104,6 @@ PerfModel::onMemAccess(uint64_t addr, uint32_t size, bool is_write)
     }
 }
 
-void
-PerfModel::onAlloc(uint64_t addr, uint32_t size)
-{
-    ++counters.allocations;
-    counters.allocatedBytes += size;
-    // Allocation writes the header line (write-allocate traffic).
-    onMemAccess(addr, size > 64 ? 64 : size, true);
-}
-
-void
-PerfModel::onJitCompile(uint32_t code_id, uint64_t cost_uops)
-{
-    (void)code_id;
-    // Compilation work retires like ordinary instructions; it shows
-    // up as the warmup spike in per-iteration times.
-    counters.instructions += cost_uops;
-}
-
-void
-PerfModel::onGuardFailure(vm::Op op)
-{
-    (void)op;
-    // Deopt path: modelled as a mispredicted branch.
-    penaltyCycles += cfg.branchMissPenalty;
-}
-
 CounterSet
 PerfModel::snapshot() const
 {
@@ -127,18 +118,12 @@ PerfModel::snapshot() const
 void
 PerfModel::reset()
 {
-    resetCounters();
+    counters = {};
+    penaltyCycles = 0.0;
     branchPred->reset();
     dispatchPred.reset();
     caches.reset();
     icache.reset();
-}
-
-void
-PerfModel::resetCounters()
-{
-    counters = {};
-    penaltyCycles = 0.0;
 }
 
 } // namespace uarch

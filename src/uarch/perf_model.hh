@@ -1,7 +1,9 @@
 /**
  * @file
- * The performance model: an ExecutionObserver that converts the VM's
- * dynamic event stream into simulated cycles and perf counters.
+ * The performance model: an EventSink that simulates the VM's record
+ * stream (vm/sink.hh) as simulated cycles and perf counters. The plain
+ * counts (bytecodes, instructions, dispatches, allocations, bytes) are
+ * the VM's InterpStats, taken with each batch.
  *
  * The timing model is additive: committed micro-ops retire at the
  * machine's issue width; branch/dispatch mispredictions and cache
@@ -18,7 +20,7 @@
 #include "uarch/branch.hh"
 #include "uarch/cache.hh"
 #include "uarch/counters.hh"
-#include "vm/observer.hh"
+#include "vm/sink.hh"
 
 namespace rigor {
 namespace uarch {
@@ -51,22 +53,15 @@ struct PerfModelConfig
     bool modelBranches = true;
 };
 
-/** ExecutionObserver that simulates the microarchitecture. */
-class PerfModel : public vm::ExecutionObserver
+/** EventSink that simulates the microarchitecture. */
+class PerfModel final : public vm::EventSink
 {
   public:
     explicit PerfModel(PerfModelConfig config = {});
 
-    // ExecutionObserver interface.
-    void onBytecode(vm::Op op, uint32_t uops) override;
-    void onCodeFetch(uint64_t addr) override;
-    void onDispatch(vm::Op op) override;
-    void onBranch(uint64_t site, bool taken) override;
-    void onMemAccess(uint64_t addr, uint32_t size,
-                     bool is_write) override;
-    void onAlloc(uint64_t addr, uint32_t size) override;
-    void onJitCompile(uint32_t code_id, uint64_t cost_uops) override;
-    void onGuardFailure(vm::Op op) override;
+    /** Simulate the records in order; take the VM's plain counts. */
+    void consume(std::span<const vm::Record> records,
+                 const vm::InterpStats &stats) noexcept override;
 
     /** Current counter values (cycles computed on the fly). */
     CounterSet snapshot() const;
@@ -74,12 +69,10 @@ class PerfModel : public vm::ExecutionObserver
     /** Reset counters AND microarchitectural state (cold start). */
     void reset();
 
-    /** Reset counters only; caches/predictors stay warm. */
-    void resetCounters();
-
-    const PerfModelConfig &config() const { return cfg; }
-
   private:
+    /** A data access of `size` bytes: every line it spans. */
+    void memAccess(uint64_t addr, uint32_t size, bool is_write);
+
     PerfModelConfig cfg;
     CounterSet counters;
     double penaltyCycles = 0.0;

@@ -165,9 +165,11 @@ opBaseUops(Op op)
 }
 
 Interp::Interp(const Program &program, InterpConfig config,
-               ExecutionObserver *observer)
-    : prog(program), cfg(config), obs(observer)
+               EventSink *event_sink)
+    : prog(program), cfg(config), sink(event_sink)
 {
+    if (sink)
+        records.resize(kRecordBatch);
     // ASLR model: the simulated heap starts at a seed-dependent offset
     // so physical cache-set mappings differ across invocations.
     SplitMix64 sm(cfg.aslrSeed ^ 0x5851f42d4c957f2dULL);
@@ -178,6 +180,8 @@ Interp::Interp(const Program &program, InterpConfig config,
     builtinsDict = alloc<DictObj>(cfg.hashSeed);
     builtinsDict->incRef();
     installBuiltins(*this, *builtinsDict);
+    if (sink)
+        flush();
 }
 
 Interp::~Interp()
@@ -194,10 +198,12 @@ Interp::trackAlloc(Object *obj)
     simBrk += sz;
     ++stats_.allocations;
     stats_.allocatedBytes += sz;
-    if (obs) {
-        obs->onAlloc(obj->simAddr, obj->simSize);
-        obs->onAllocSite(curSite, obj->simSize);
-    }
+    stats_.objectBytes += obj->simSize;
+    if (sink)
+        emit({.addr = obj->simAddr,
+              .site = curSite,
+              .size = obj->simSize,
+              .kind = Record::Kind::Alloc});
 }
 
 void
@@ -218,31 +224,62 @@ Interp::accountBytecode(Op op, uint32_t uops, bool dispatched)
     stats_.uops += uops;
     ++stats_.perOp[static_cast<size_t>(op)];
     stats_.perOpUops[static_cast<size_t>(op)] += uops;
-    if (dispatched)
+    if (dispatched) {
         ++stats_.perOpDispatched[static_cast<size_t>(op)];
-    if (obs) {
-        if (dispatched)
-            obs->onDispatch(op);
-        obs->onBytecode(op, uops);
+        if (sink)
+            emit({.kind = Record::Kind::Dispatch, .op = op});
     }
 }
 
 void
 Interp::emitBranch(const Frame &frame, size_t pc, bool taken)
 {
-    if (obs) {
-        uint64_t site =
-            (static_cast<uint64_t>(frame.code->codeId) << 20) | pc;
-        obs->onBranch(site, taken);
-    }
+    if (sink)
+        emit({.site = (static_cast<uint64_t>(frame.code->codeId) << 20) |
+                  pc,
+              .kind = Record::Kind::Branch,
+              .flag = taken});
 }
 
 void
 Interp::emitMem(uint64_t addr, uint32_t size, bool write)
 {
-    if (obs)
-        obs->onMemAccess(addr, size, write);
+    if (sink)
+        emit({.addr = addr,
+              .size = size,
+              .kind = Record::Kind::Mem,
+              .flag = write});
 }
+
+void
+Interp::emit(const Record &record)
+{
+    records[numRecords] = record;
+    if (++numRecords == kRecordBatch)
+        flush();
+}
+
+void
+Interp::flush()
+{
+    sink->consume({records.data(), numRecords}, stats_);
+    numRecords = 0;
+}
+
+struct Interp::FlushAtTopLevel
+{
+    explicit FlushAtTopLevel(Interp &interp) : vm(interp) {}
+    FlushAtTopLevel(const FlushAtTopLevel &) = delete;
+    FlushAtTopLevel &operator=(const FlushAtTopLevel &) = delete;
+
+    ~FlushAtTopLevel()
+    {
+        if (vm.sink && vm.callDepth == 0)
+            vm.flush();
+    }
+
+    Interp &vm;
+};
 
 void
 Interp::chargeCompile(const CodeObject *code, uint64_t cost)
@@ -250,8 +287,6 @@ Interp::chargeCompile(const CodeObject *code, uint64_t cost)
     ++stats_.jitCompiles;
     stats_.uops += cost;
     stats_.jitCompileUops += cost;
-    if (obs)
-        obs->onJitCompile(code->codeId, cost);
     events_.push_back({.kind = VmEvent::Kind::JitCompile,
                        .codeId = code->codeId,
                        .costUops = cost});
@@ -262,8 +297,8 @@ Interp::guardFailed(Op op)
 {
     ++stats_.guardFailures;
     ++stats_.perOpGuards[static_cast<size_t>(op)];
-    if (obs)
-        obs->onGuardFailure(op);
+    if (sink)
+        emit({.kind = Record::Kind::Guard, .op = op});
     if (deoptEvents < kMaxDeoptInstants) {
         ++deoptEvents;
         events_.push_back({.kind = VmEvent::Kind::Deopt, .op = op});
@@ -285,6 +320,7 @@ Interp::runtimeFor(const CodeObject *code)
 void
 Interp::runModule()
 {
+    FlushAtTopLevel flush_on_exit{*this};
     execCode(prog.module.get(), {}, nullptr);
 }
 
@@ -311,6 +347,7 @@ Interp::callGlobal(const std::string &name, std::vector<Value> args)
 Value
 Interp::callValue(const Value &callee, std::vector<Value> args)
 {
+    FlushAtTopLevel flush_on_exit{*this};
     ++stats_.calls;
 
     if (!callee.isObj())
@@ -1324,7 +1361,7 @@ Interp::evalFrame(Frame &frame)
         Op op = ins.op;
         uint32_t uops = opBaseUops(op);
         bool dispatched = !compiled;
-        if (obs) {
+        if (sink) {
             curSite = (static_cast<uint64_t>(code->codeId) << 20) | pc;
             // Instruction-fetch model: interpreter handlers live in
             // a small shared region (one slot per opcode, ~16 KiB
@@ -1336,7 +1373,7 @@ Interp::evalFrame(Frame &frame)
                     static_cast<uint64_t>(code->codeId) * 0x40000 +
                     static_cast<uint64_t>(pc) * 32
                 : 0x400000ULL + static_cast<uint64_t>(op) * 192;
-            obs->onCodeFetch(fetch_addr);
+            emit({.addr = fetch_addr, .kind = Record::Kind::Fetch});
         }
         // Compiled code unboxes and inlines beyond quickening: scale
         // down the cost of opcodes that stayed generic.

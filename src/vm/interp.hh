@@ -8,6 +8,8 @@
  * all JIT state (hot counters, quickened code, inline caches). Running
  * the same Program in a fresh Interp therefore reproduces the
  * cross-invocation non-determinism the methodology studies.
+ * The VM counts (InterpStats); an attached EventSink (vm/sink.hh) gets
+ * the record stream, up to date whenever control is outside the VM.
  */
 
 #ifndef RIGOR_VM_INTERP_HH
@@ -20,7 +22,7 @@
 #include <vector>
 
 #include "vm/code.hh"
-#include "vm/observer.hh"
+#include "vm/sink.hh"
 #include "vm/value.hh"
 
 namespace rigor {
@@ -53,6 +55,9 @@ Tier tierFromName(const std::string &name);
  * every one).
  */
 constexpr uint64_t kMaxDeoptInstants = 64;
+
+/** Records per batch handed to an EventSink. */
+constexpr size_t kRecordBatch = 1024;
 
 /**
  * One notable VM event, kept in execution order on the Interp. The VM
@@ -122,7 +127,10 @@ struct InterpStats
     uint64_t bytecodes = 0;
     uint64_t uops = 0;
     uint64_t allocations = 0;
+    /** Heap bytes, each object rounded up to the 16 B granule. */
     uint64_t allocatedBytes = 0;
+    /** Heap bytes, the objects' own sizes (what the model sees). */
+    uint64_t objectBytes = 0;
     uint64_t calls = 0;
     uint64_t guardFailures = 0;
     uint64_t jitCompiles = 0;
@@ -152,10 +160,11 @@ class Interp
     /**
      * @param program compiled program (must outlive the Interp).
      * @param config invocation configuration.
-     * @param observer optional execution observer (may be null).
+     * @param sink optional consumer of the record stream (may be
+     *        null: then the VM writes no records).
      */
     Interp(const Program &program, InterpConfig config = {},
-           ExecutionObserver *observer = nullptr);
+           EventSink *sink = nullptr);
     ~Interp();
 
     Interp(const Interp &) = delete;
@@ -289,7 +298,7 @@ class Interp
      */
     void threadedQuicken(const CodeObject *code, CodeRuntime &rt);
 
-    /** Account one executed bytecode to counters and the observer. */
+    /** Account one executed bytecode to counters and the sink. */
     void accountBytecode(Op op, uint32_t uops, bool dispatched);
     /** Charge one code object's compile/quickening cost. */
     void chargeCompile(const CodeObject *code, uint64_t cost);
@@ -297,10 +306,19 @@ class Interp
     void guardFailed(Op op);
     void emitBranch(const Frame &frame, size_t pc, bool taken);
     void emitMem(uint64_t addr, uint32_t size, bool write);
+    /** Append a record; hands the batch over when it is full. */
+    void emit(const Record &record);
+    /** Hand the buffered records (maybe none) to the sink. */
+    void flush();
+    /** Flushes on destruction when no VM frame is active. */
+    struct FlushAtTopLevel;
 
     const Program &prog;
     InterpConfig cfg;
-    ExecutionObserver *obs;
+    EventSink *sink;
+    /** Buffered records; kRecordBatch long with a sink. */
+    std::vector<Record> records;
+    size_t numRecords = 0;
     InterpStats stats_;
     std::vector<VmEvent> events_;
     /** Deopt events recorded so far (capped). */
@@ -314,8 +332,8 @@ class Interp
     /**
      * Site of the bytecode currently executing, (codeId << 20) | pc
      * (the branch-site encoding); attributes allocations to their
-     * allocating bytecode for onAllocSite(). Maintained only while an
-     * observer is attached.
+     * allocating bytecode in Alloc records. Maintained only while a
+     * sink is attached.
      */
     uint64_t curSite = 0;
     int callDepth = 0;

@@ -12,6 +12,12 @@
  * of metrics, trace events and log lines is unchanged. These pins
  * can. A deliberate change to an artifact format must update them
  * and say so.
+ *
+ * Two more pins cover what `run` artifacts do not show: the
+ * profiler's branch and allocation site tables (`rigorbench profile`)
+ * and the archived behaviour profile, whose `vm.allocated_bytes`
+ * (16 B-rounded) and `counters.allocated_bytes` (unrounded) come from
+ * different VM totals.
  */
 
 #include <cstdlib>
@@ -22,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include "explain/behavior_profile.hh"
+#include "harness/profile.hh"
 #include "serve/jobrun.hh"
 #include "serve/jobspec.hh"
 #include "support/durable_io.hh"
@@ -266,6 +274,56 @@ TEST(GoldenArtifacts, RichardsAdaptiveDeoptCap)
          "be0db3a77157a5af 23eb72852cdc3bc7 ed870bb05c84019d "
          "4763b3dd0f602a53 4a876e6788795712"},
     });
+}
+
+// The rendered profile of sieve and richards on every tier. Threshold
+// 50 makes both compile on the adaptive tier (richards also fails
+// guards there), so compiled-code fetches and deopts are in the mix.
+TEST(GoldenArtifacts, ProfileSiteTables)
+{
+    struct Case
+    {
+        const char *workload;
+        vm::Tier tier;
+        const char *digest;
+    };
+    const Case cases[] = {
+        {"sieve", vm::Tier::Interp, "5583d38851301419"},
+        {"sieve", vm::Tier::Adaptive, "61b97171e950abfe"},
+        {"sieve", vm::Tier::Threaded, "f90648001fe848e0"},
+        {"richards", vm::Tier::Interp, "916537befe66e091"},
+        {"richards", vm::Tier::Adaptive, "02aa3cdc64b446d9"},
+        {"richards", vm::Tier::Threaded, "b79afcd81e567695"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(strprintf("%s/%s", c.workload,
+                               vm::tierName(c.tier)));
+        harness::ProfileConfig cfg;
+        cfg.tier = c.tier;
+        cfg.iterations = 4;
+        cfg.size = workloads::findWorkload(c.workload).testSize;
+        cfg.jitThreshold = 50;
+        EXPECT_EQ(digest(harness::renderProfile(
+                      harness::profileWorkload(c.workload, cfg))),
+                  c.digest);
+    }
+}
+
+// The archived behaviour profile of one adaptive run.
+TEST(GoldenArtifacts, BehaviorProfileAdaptive)
+{
+    harness::RunnerConfig cfg;
+    cfg.invocations = 3;
+    cfg.iterations = 5;
+    cfg.tier = vm::Tier::Adaptive;
+    cfg.jitThreshold = 50;
+    cfg.seed = 0xabc;
+    cfg.size = workloads::findWorkload("richards").testSize;
+    harness::RunResult run = harness::runExperiment("richards", cfg);
+    Json j = explain::profileToJson(explain::buildProfile(run, cfg));
+    EXPECT_NE(j.at("vm").at("allocated_bytes").dump(),
+              j.at("counters").at("allocated_bytes").dump());
+    EXPECT_EQ(digest(j.dump(2)), "2a7e93474655f09d");
 }
 
 } // namespace

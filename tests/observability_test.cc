@@ -4,18 +4,21 @@
  * produce nonzero VM counters, a well-formed span tree, fault-path
  * instants, and byte-identical artifacts across identical runs. The
  * vm.<tier>.* totals, derived at attempt end from the VM's and the
- * model's own counts, are checked against a per-event reference
- * count and must include aborted attempts.
+ * model's own counts, are checked against a per-record reference
+ * count, also when the VM raises mid-iteration, and must include
+ * aborted attempts.
  */
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
 #include "harness/fault.hh"
 #include "harness/runner.hh"
 #include "support/json.hh"
+#include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/trace.hh"
 #include "vm/compiler.hh"
@@ -154,37 +157,34 @@ TEST(Observability, InjectedFaultLeavesRetryTrail)
 }
 
 /**
- * Reference for the derived vm.<tier>.* totals: counts every event
- * as it streams past, the way a per-event metrics observer would.
+ * Reference for the derived vm.<tier>.* totals: keeps every record
+ * and counts each as it streams past.
  */
-class CountingObserver : public vm::ExecutionObserver
+class RecordingSink : public vm::EventSink
 {
   public:
     void
-    onBytecode(vm::Op, uint32_t uops) override
+    consume(std::span<const vm::Record> records,
+            const vm::InterpStats &) noexcept override
     {
-        ++bytecodes;
-        this->uops += uops;
+        for (const vm::Record &r : records) {
+            all.push_back(r);
+            switch (r.kind) {
+              case vm::Record::Kind::Dispatch: ++dispatches; break;
+              case vm::Record::Kind::Branch: ++branches; break;
+              case vm::Record::Kind::Alloc:
+                ++allocations;
+                allocatedBytes += r.size;
+                break;
+              case vm::Record::Kind::Guard: ++guardFailures; break;
+              default: break;
+            }
+        }
     }
-    void onDispatch(vm::Op) override { ++dispatches; }
-    void onBranch(uint64_t, bool) override { ++branches; }
-    void
-    onAlloc(uint64_t, uint32_t size) override
-    {
-        ++allocations;
-        allocatedBytes += size;
-    }
-    void
-    onJitCompile(uint32_t, uint64_t cost) override
-    {
-        ++jitCompiles;
-        jitCompileUops += cost;
-    }
-    void onGuardFailure(vm::Op) override { ++guardFailures; }
 
-    uint64_t bytecodes = 0, uops = 0, dispatches = 0, branches = 0,
-             allocations = 0, allocatedBytes = 0, jitCompiles = 0,
-             jitCompileUops = 0, guardFailures = 0;
+    std::vector<vm::Record> all;
+    uint64_t dispatches = 0, branches = 0, allocations = 0,
+             allocatedBytes = 0, guardFailures = 0;
 };
 
 TEST(Observability, DerivedVmTotalsMatchPerEventCounts)
@@ -192,74 +192,121 @@ TEST(Observability, DerivedVmTotalsMatchPerEventCounts)
     // Type-unstable arithmetic and comparisons after warmup: the
     // adaptive tier compiles run() and helper(), then every quickened
     // int fast path deopts on floats. Strings of varying length keep
-    // allocation sizes off the 16-byte heap grid.
-    vm::Program prog = vm::compileSource(
+    // allocation sizes off the 16-byte heap grid. With `stop` set,
+    // helper() raises halfway through the third run(), so the VM
+    // unwinds two frames in the middle of an iteration.
+    const std::string body =
+        "calls = 0\n"
         "def helper(x, y):\n"
+        "    if y == -1:\n"
+        "        raise 'stop'\n"
         "    return x + y\n"
         "def run(n):\n"
+        "    global calls\n"
+        "    calls = calls + 1\n"
         "    total = 0\n"
         "    acc = []\n"
         "    for i in range(n):\n"
         "        v = i\n"
         "        if i > n // 2:\n"
         "            v = i * 0.5\n"
+        "        if stop and calls == 3 and i == n // 2 + 11:\n"
+        "            v = -1\n"
         "        total = helper(total, v)\n"
         "        if v < n // 3:\n"
         "            acc.append('ab' * (i % 7 + 1))\n"
-        "    return len(acc) + int(total)\n");
-    for (vm::Tier tier : {vm::Tier::Interp, vm::Tier::Adaptive,
-                          vm::Tier::Threaded}) {
-        SCOPED_TRACE(vm::tierName(tier));
-        vm::InterpConfig icfg;
-        icfg.tier = tier;
-        icfg.jitThreshold = 20;
-        icfg.hashSeed = 0x1234;
-        icfg.aslrSeed = 0x5678;
-        icfg.captureOutput = false;
-        auto drive = [&](vm::ExecutionObserver *obs) {
-            auto interp =
-                std::make_unique<vm::Interp>(prog, icfg, obs);
-            interp->runModule();
-            for (int it = 0; it < 3; ++it)
-                interp->callGlobal("run", {vm::Value::makeInt(400)});
-            return interp;
-        };
+        "    return len(acc) + int(total)\n";
+    for (bool stop : {false, true}) {
+        vm::Program prog = vm::compileSource(
+            (stop ? "stop = True\n" : "stop = False\n") + body);
+        for (vm::Tier tier : {vm::Tier::Interp, vm::Tier::Adaptive,
+                              vm::Tier::Threaded}) {
+            SCOPED_TRACE(strprintf("%s stop=%d", vm::tierName(tier),
+                                   stop));
+            vm::InterpConfig icfg;
+            icfg.tier = tier;
+            icfg.jitThreshold = 20;
+            icfg.hashSeed = 0x1234;
+            icfg.aslrSeed = 0x5678;
+            icfg.captureOutput = false;
+            auto drive = [&](vm::EventSink *sink) {
+                auto interp =
+                    std::make_unique<vm::Interp>(prog, icfg, sink);
+                interp->runModule();
+                bool raised = false;
+                try {
+                    for (int it = 0; it < 3; ++it)
+                        interp->callGlobal("run",
+                                           {vm::Value::makeInt(400)});
+                } catch (const vm::VmError &) {
+                    raised = true;
+                }
+                EXPECT_EQ(raised, stop);
+                return interp;
+            };
 
-        uarch::PerfModel model;
-        auto measured = drive(&model);
-        MetricsRegistry reg;
-        recordVmTotals(reg, tier, measured->stats(), model.snapshot());
+            uarch::PerfModel model;
+            auto measured = drive(&model);
+            MetricsRegistry reg;
+            recordVmTotals(reg, tier, measured->stats(),
+                           model.snapshot());
 
-        CountingObserver ref;
-        auto reference = drive(&ref);
+            RecordingSink ref;
+            auto reference = drive(&ref);
+            const vm::InterpStats &rs = reference->stats();
 
-        std::string p = std::string("vm.") + vm::tierName(tier) + ".";
-        auto v = [&](const char *name) {
-            return reg.counterValue(p + name);
-        };
-        EXPECT_EQ(v("bytecodes"), ref.bytecodes);
-        EXPECT_EQ(v("uops"), ref.uops);
-        EXPECT_EQ(v("dispatches"), ref.dispatches);
-        EXPECT_EQ(v("branches"), ref.branches);
-        EXPECT_EQ(v("allocations"), ref.allocations);
-        EXPECT_EQ(v("allocated_bytes"), ref.allocatedBytes);
-        EXPECT_EQ(v("jit_compiles"), ref.jitCompiles);
-        EXPECT_EQ(v("jit_compile_uops"), ref.jitCompileUops);
-        EXPECT_EQ(v("guard_failures"), ref.guardFailures);
-        // No event carries calls any more; the VM's count is the
-        // only one, so check it is a pure function of the program.
-        EXPECT_EQ(v("calls"), reference->stats().calls);
-        EXPECT_GT(v("calls"), 1200u);
+            // Every record reached the sink, the last partial batch
+            // included: the per-record counts equal the VM's own.
+            EXPECT_EQ(ref.dispatches,
+                      std::accumulate(rs.perOpDispatched.begin(),
+                                      rs.perOpDispatched.end(),
+                                      uint64_t{0}));
+            EXPECT_EQ(ref.allocations, rs.allocations);
+            EXPECT_EQ(ref.allocatedBytes, rs.objectBytes);
+            EXPECT_EQ(ref.guardFailures, rs.guardFailures);
 
-        if (tier == vm::Tier::Interp) {
-            EXPECT_EQ(ref.jitCompiles, 0u);
-            EXPECT_GT(ref.dispatches, 0u);
-        } else {
-            EXPECT_GT(ref.jitCompiles, 0u);
-            EXPECT_GT(ref.guardFailures, 0u);
+            std::string p =
+                std::string("vm.") + vm::tierName(tier) + ".";
+            auto v = [&](const char *name) {
+                return reg.counterValue(p + name);
+            };
+            EXPECT_EQ(v("bytecodes"), rs.bytecodes);
+            EXPECT_EQ(v("uops"), rs.uops - rs.jitCompileUops);
+            EXPECT_EQ(v("dispatches"), ref.dispatches);
+            EXPECT_EQ(v("branches"), ref.branches);
+            EXPECT_EQ(v("allocations"), ref.allocations);
+            EXPECT_EQ(v("allocated_bytes"), ref.allocatedBytes);
+            EXPECT_EQ(v("jit_compiles"), rs.jitCompiles);
+            EXPECT_EQ(v("jit_compile_uops"), rs.jitCompileUops);
+            EXPECT_EQ(v("guard_failures"), ref.guardFailures);
+            EXPECT_EQ(v("calls"), rs.calls);
+            EXPECT_GT(v("calls"), stop ? 1000u : 1200u);
+
+            // Batching does not change what the model computes: a
+            // second model fed the same records one at a time agrees.
+            uarch::PerfModel single;
+            for (const vm::Record &r : ref.all)
+                single.consume({&r, 1}, rs);
+            uarch::CounterSet a = model.snapshot(),
+                              b = single.snapshot();
+            EXPECT_EQ(a.branches, b.branches);
+            EXPECT_EQ(a.branchMisses, b.branchMisses);
+            EXPECT_EQ(a.dispatchMisses, b.dispatchMisses);
+            EXPECT_EQ(a.l1dAccesses, b.l1dAccesses);
+            EXPECT_EQ(a.l1dMisses, b.l1dMisses);
+            EXPECT_EQ(a.l1iMisses, b.l1iMisses);
+            EXPECT_EQ(a.cycles, b.cycles);
+
+            if (tier == vm::Tier::Interp) {
+                EXPECT_EQ(rs.jitCompiles, 0u);
+                EXPECT_GT(ref.dispatches, 0u);
+            } else {
+                EXPECT_GT(rs.jitCompiles, 0u);
+                EXPECT_GT(ref.guardFailures, 0u);
+            }
+            // All ten are present even when zero.
+            EXPECT_EQ(reg.toJson().at("counters").size(), 10u);
         }
-        // All ten are present even when zero.
-        EXPECT_EQ(reg.toJson().at("counters").size(), 10u);
     }
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Microarchitecture-model tests: cache geometry/LRU behaviour, branch
  * predictor learning, dispatch predictor, counter arithmetic, and the
- * perf model's end-to-end event accounting.
+ * perf model's simulation of VM records.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "uarch/counters.hh"
 #include "uarch/perf_model.hh"
 #include "support/rng.hh"
+#include "vm/interp.hh"
 
 namespace rigor {
 namespace uarch {
@@ -211,28 +212,81 @@ TEST(Counters, DerivedMetrics)
     EXPECT_DOUBLE_EQ(zero.branchMpki(), 0.0);
 }
 
+/** Feed the model one record, with the VM's counters. */
+void
+feed(PerfModel &m, const vm::Record &r, const vm::InterpStats &stats = {})
+{
+    m.consume({&r, 1}, stats);
+}
+
+vm::Record
+mem(uint64_t addr, uint32_t size = 8)
+{
+    return {.addr = addr, .size = size, .kind = vm::Record::Kind::Mem};
+}
+
+vm::Record
+branch(uint64_t site, bool taken)
+{
+    return {.site = site, .kind = vm::Record::Kind::Branch,
+            .flag = taken};
+}
+
+vm::Record
+fetch(uint64_t addr)
+{
+    return {.addr = addr, .kind = vm::Record::Kind::Fetch};
+}
+
+/** VM counters with `bytecodes` bytecodes of `uops_each` uops. */
+vm::InterpStats
+bytecodeStats(uint64_t bytecodes, uint64_t uops_each)
+{
+    vm::InterpStats st;
+    st.bytecodes = bytecodes;
+    st.uops = bytecodes * uops_each;
+    return st;
+}
+
 TEST(PerfModelTest, AccountsBytecodesAndUops)
 {
+    // Plain counts are the VM's: the model takes them with each batch
+    // and never counts them itself.
+    vm::InterpStats st = bytecodeStats(2, 5);
+    st.perOpDispatched[static_cast<size_t>(vm::Op::BinaryAdd)] = 1;
+    st.perOpDispatched[static_cast<size_t>(vm::Op::LoadFast)] = 1;
+    st.allocations = 1;
+    st.allocatedBytes = 48;
+    st.objectBytes = 40;
     PerfModel m;
-    m.onBytecode(vm::Op::BinaryAdd, 8);
-    m.onBytecode(vm::Op::LoadFast, 2);
+    vm::Record alloc{.addr = 0x40, .size = 40,
+                     .kind = vm::Record::Kind::Alloc};
+    feed(m, alloc, st);
     CounterSet c = m.snapshot();
     EXPECT_EQ(c.bytecodes, 2u);
     EXPECT_EQ(c.instructions, 10u);
+    EXPECT_EQ(c.dispatches, 2u);
+    EXPECT_EQ(c.allocations, 1u);
+    EXPECT_EQ(c.allocatedBytes, 40u);  // unrounded
+    EXPECT_EQ(c.stores, 1u);           // the header write
     EXPECT_GT(c.cycles, 0u);
+    // An empty batch still brings the counts up to date.
+    st.bytecodes = 3;
+    m.consume({}, st);
+    EXPECT_EQ(m.snapshot().bytecodes, 3u);
 }
 
 TEST(PerfModelTest, MispredictsAddCycles)
 {
     PerfModelConfig cfg;
     PerfModel m(cfg);
-    for (int i = 0; i < 100; ++i)
-        m.onBytecode(vm::Op::Nop, 4);
+    vm::InterpStats st = bytecodeStats(100, 4);
+    m.consume({}, st);
     uint64_t base = m.snapshot().cycles;
     // Random branches: roughly half mispredict, adding penalties.
     Rng rng(3);
     for (int i = 0; i < 200; ++i)
-        m.onBranch(i, rng.nextBernoulli(0.5));
+        feed(m, branch(i, rng.nextBernoulli(0.5)), st);
     EXPECT_GT(m.snapshot().cycles, base);
     EXPECT_GT(m.snapshot().branchMisses, 20u);
 }
@@ -241,11 +295,10 @@ TEST(PerfModelTest, CacheMissesRaiseCycles)
 {
     PerfModel warm;
     PerfModel cold;
+    vm::InterpStats st = bytecodeStats(1000, 4);
     for (int i = 0; i < 1000; ++i) {
-        warm.onBytecode(vm::Op::Nop, 4);
-        cold.onBytecode(vm::Op::Nop, 4);
-        warm.onMemAccess(0x100, 8, false);          // same line
-        cold.onMemAccess(0x100 + i * 4096, 8, false);  // streaming
+        feed(warm, mem(0x100), st);             // same line
+        feed(cold, mem(0x100 + i * 4096), st);  // streaming
     }
     EXPECT_LT(warm.snapshot().cycles, cold.snapshot().cycles);
     EXPECT_LT(warm.snapshot().l1dMisses, 5u);
@@ -260,8 +313,8 @@ TEST(PerfModelTest, AblationDisablesModels)
     PerfModel m(cfg);
     Rng rng(5);
     for (int i = 0; i < 500; ++i) {
-        m.onMemAccess(static_cast<uint64_t>(i) * 4096, 8, false);
-        m.onBranch(i, rng.nextBernoulli(0.5));
+        feed(m, mem(static_cast<uint64_t>(i) * 4096));
+        feed(m, branch(i, rng.nextBernoulli(0.5)));
     }
     CounterSet c = m.snapshot();
     EXPECT_EQ(c.l1dMisses, 0u);
@@ -271,25 +324,23 @@ TEST(PerfModelTest, AblationDisablesModels)
     EXPECT_EQ(c.branches, 500u);
 }
 
-TEST(PerfModelTest, ResetAndResetCounters)
+TEST(PerfModelTest, ResetColdStarts)
 {
     PerfModel m;
-    m.onMemAccess(0x40, 8, false);
-    m.onBytecode(vm::Op::Nop, 4);
-    m.resetCounters();
-    EXPECT_EQ(m.snapshot().instructions, 0u);
-    // Counters cleared but cache still warm: the same line hits.
-    m.onMemAccess(0x40, 8, false);
-    EXPECT_EQ(m.snapshot().l1dMisses, 0u);
+    feed(m, mem(0x40), bytecodeStats(1, 4));
+    feed(m, mem(0x40));
+    EXPECT_EQ(m.snapshot().l1dMisses, 1u);  // warm: the second hits
     m.reset();
-    m.onMemAccess(0x40, 8, false);
-    EXPECT_EQ(m.snapshot().l1dMisses, 1u);
+    EXPECT_EQ(m.snapshot().instructions, 0u);
+    EXPECT_EQ(m.snapshot().l1dAccesses, 0u);
+    feed(m, mem(0x40));
+    EXPECT_EQ(m.snapshot().l1dMisses, 1u);  // cold again
 }
 
 TEST(PerfModelTest, SpanningAccessTouchesTwoLines)
 {
     PerfModel m;
-    m.onMemAccess(60, 8, false);  // crosses the 64B boundary
+    feed(m, mem(60));  // crosses the 64B boundary
     EXPECT_EQ(m.snapshot().l1dAccesses, 2u);
 }
 
@@ -299,16 +350,15 @@ TEST(PerfModelTest, ICacheModelsCodeFootprint)
     PerfModel m;
     // Interpreter-like: 40 handlers touched round-robin fits L1I.
     for (int i = 0; i < 20000; ++i)
-        m.onCodeFetch(0x400000ULL +
-                      static_cast<uint64_t>(i % 40) * 192);
+        feed(m, fetch(0x400000ULL + static_cast<uint64_t>(i % 40) * 192));
     CounterSet interp_like = m.snapshot();
     EXPECT_LT(interp_like.l1iMisses, 200u);
 
     // JIT-like: a 512 KiB code region streamed repeatedly thrashes.
     m.reset();
     for (int i = 0; i < 20000; ++i)
-        m.onCodeFetch(0x100000000ULL +
-                      static_cast<uint64_t>(i % 8192) * 64);
+        feed(m, fetch(0x100000000ULL +
+                      static_cast<uint64_t>(i % 8192) * 64));
     CounterSet jit_like = m.snapshot();
     EXPECT_GT(jit_like.l1iMisses, 15000u);
     EXPECT_GT(jit_like.l1iAccesses, 0u);
@@ -320,7 +370,7 @@ TEST(PerfModelTest, ICacheDisabledWithCacheAblation)
     cfg.modelCaches = false;
     PerfModel m(cfg);
     for (int i = 0; i < 100; ++i)
-        m.onCodeFetch(static_cast<uint64_t>(i) * 4096);
+        feed(m, fetch(static_cast<uint64_t>(i) * 4096));
     EXPECT_EQ(m.snapshot().l1iMisses, 0u);
     EXPECT_EQ(m.snapshot().l1iAccesses, 0u);
 }

@@ -2,10 +2,12 @@
  * @file
  * Adaptive-tier (JIT model) tests: tier-up triggering, quickened
  * opcode execution, guard failures on type instability, inline-cache
- * cost accounting, compile-pause visibility, observer event
- * discipline (no dispatch events from compiled code) and call
- * accounting.
+ * cost accounting, compile-pause visibility, record-stream
+ * discipline (no dispatch records from compiled code, records that
+ * agree with the VM's counters) and call accounting.
  */
+
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -16,41 +18,43 @@ namespace rigor {
 namespace vm {
 namespace {
 
-/** Observer that records event counts for assertions. */
-class RecordingObserver : public ExecutionObserver
+/** Sink that counts records by kind for assertions. */
+class RecordingSink : public EventSink
 {
   public:
     void
-    onBytecode(Op op, uint32_t uops) override
+    consume(std::span<const Record> records,
+            const InterpStats &) noexcept override
     {
-        ++bytecodes;
-        totalUops += uops;
-        if (op >= Op::FirstQuickened)
-            ++quickenedBytecodes;
+        for (const Record &r : records) {
+            switch (r.kind) {
+              case Record::Kind::Dispatch: ++dispatches; break;
+              case Record::Kind::Branch: ++branches; break;
+              case Record::Kind::Mem: ++mems; break;
+              case Record::Kind::Alloc:
+                ++allocs;
+                allocBytes += r.size;
+                break;
+              default: break;
+            }
+        }
     }
-    void onDispatch(Op) override { ++dispatches; }
-    void onBranch(uint64_t, bool) override { ++branches; }
-    void onMemAccess(uint64_t, uint32_t, bool) override { ++mems; }
-    void onAlloc(uint64_t, uint32_t) override { ++allocs; }
-    void
-    onJitCompile(uint32_t, uint64_t cost) override
-    {
-        ++compiles;
-        compileUops += cost;
-    }
-    void onGuardFailure(Op) override { ++guardFailures; }
 
-    uint64_t bytecodes = 0;
-    uint64_t quickenedBytecodes = 0;
-    uint64_t totalUops = 0;
     uint64_t dispatches = 0;
     uint64_t branches = 0;
     uint64_t mems = 0;
     uint64_t allocs = 0;
-    uint64_t compiles = 0;
-    uint64_t compileUops = 0;
-    uint64_t guardFailures = 0;
+    uint64_t allocBytes = 0;
 };
+
+/** Bytecodes that ran in a quickened (specialized) form. */
+uint64_t
+quickenedBytecodes(const InterpStats &stats)
+{
+    return std::accumulate(
+        stats.perOp.begin() + static_cast<size_t>(Op::FirstQuickened),
+        stats.perOp.end(), uint64_t{0});
+}
 
 const char *kHotLoop =
     "def run(n):\n"
@@ -92,14 +96,13 @@ TEST(Jit, QuickenedOpcodesExecuteAfterCompile)
     InterpConfig cfg;
     cfg.tier = Tier::Adaptive;
     cfg.jitThreshold = 10;
-    RecordingObserver obs;
-    Interp interp(prog, cfg, &obs);
+    Interp interp(prog, cfg);
     interp.runModule();
     Value r = interp.callGlobal("run", {Value::makeInt(5000)});
     EXPECT_EQ(r.asInt(), 5000LL * 4999 / 2);
-    EXPECT_GT(obs.quickenedBytecodes, 1000u);
-    EXPECT_GE(obs.compiles, 1u);
-    EXPECT_GT(obs.compileUops, 0u);
+    EXPECT_GT(quickenedBytecodes(interp.stats()), 1000u);
+    EXPECT_GE(interp.stats().jitCompiles, 1u);
+    EXPECT_GT(interp.stats().jitCompileUops, 0u);
 }
 
 TEST(Jit, CompiledCodeEmitsNoDispatches)
@@ -108,19 +111,19 @@ TEST(Jit, CompiledCodeEmitsNoDispatches)
     InterpConfig cfg;
     cfg.tier = Tier::Adaptive;
     cfg.jitThreshold = 10;
-    RecordingObserver warm_obs;
-    Interp interp(prog, cfg, &warm_obs);
+    RecordingSink sink;
+    Interp interp(prog, cfg, &sink);
     interp.runModule();
     interp.callGlobal("run", {Value::makeInt(2000)});  // warms up
 
     // After warmup, a fresh count of one more call sees (almost) no
     // dispatches: only the un-compiled module-level path would
     // dispatch, and we re-enter the compiled function directly.
-    uint64_t dispatches_before = warm_obs.dispatches;
-    uint64_t bytecodes_before = warm_obs.bytecodes;
+    uint64_t dispatches_before = sink.dispatches;
+    uint64_t bytecodes_before = interp.stats().bytecodes;
     interp.callGlobal("run", {Value::makeInt(2000)});
-    uint64_t new_dispatches = warm_obs.dispatches - dispatches_before;
-    uint64_t new_bytecodes = warm_obs.bytecodes - bytecodes_before;
+    uint64_t new_dispatches = sink.dispatches - dispatches_before;
+    uint64_t new_bytecodes = interp.stats().bytecodes - bytecodes_before;
     EXPECT_GT(new_bytecodes, 10000u);
     EXPECT_EQ(new_dispatches, 0u);
 }
@@ -170,15 +173,15 @@ TEST(Jit, CompiledCodeIsCheaperPerBytecode)
         InterpConfig cfg;
         cfg.tier = tier;
         cfg.jitThreshold = 10;
-        RecordingObserver obs;
-        Interp interp(prog, cfg, &obs);
+        Interp interp(prog, cfg);
         interp.runModule();
         // Warm up, then measure the second call only.
         interp.callGlobal("run", {Value::makeInt(2000)});
-        uint64_t u0 = obs.totalUops, b0 = obs.bytecodes;
+        const InterpStats &st = interp.stats();
+        uint64_t u0 = st.uops, b0 = st.bytecodes;
         interp.callGlobal("run", {Value::makeInt(2000)});
-        return static_cast<double>(obs.totalUops - u0) /
-            static_cast<double>(obs.bytecodes - b0);
+        return static_cast<double>(st.uops - u0) /
+            static_cast<double>(st.bytecodes - b0);
     };
 
     double interp_cost = uops_per_bytecode(Tier::Interp);
@@ -224,20 +227,29 @@ TEST(Jit, DispatchUopsConfigurable)
     EXPECT_GT(switch_cost, threaded_cost);
 }
 
-TEST(Jit, ObserverBytecodeCountMatchesStats)
+TEST(Jit, RecordStreamMatchesStats)
 {
     Program prog = compileSource(kHotLoop);
-    RecordingObserver obs;
+    RecordingSink sink;
     InterpConfig cfg;
     cfg.tier = Tier::Adaptive;
     cfg.jitThreshold = 50;
-    Interp interp(prog, cfg, &obs);
+    Interp interp(prog, cfg, &sink);
     interp.runModule();
     interp.callGlobal("run", {Value::makeInt(300)});
-    EXPECT_EQ(obs.bytecodes, interp.stats().bytecodes);
-    EXPECT_GT(obs.mems, 0u);
-    EXPECT_GT(obs.branches, 0u);
-    EXPECT_GT(obs.allocs, 0u);
+    const InterpStats &st = interp.stats();
+    EXPECT_EQ(sink.dispatches,
+              std::accumulate(st.perOpDispatched.begin(),
+                              st.perOpDispatched.end(), uint64_t{0}));
+    EXPECT_GT(sink.dispatches, 0u);
+    EXPECT_EQ(sink.allocs, st.allocations);
+    EXPECT_EQ(sink.allocBytes, st.objectBytes);
+    // Objects are rounded up to the 16 B heap granule in
+    // allocatedBytes only.
+    EXPECT_LE(st.objectBytes, st.allocatedBytes);
+    EXPECT_GT(sink.mems, 0u);
+    EXPECT_GT(sink.branches, 0u);
+    EXPECT_GT(sink.allocs, 0u);
 }
 
 } // namespace

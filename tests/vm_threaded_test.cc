@@ -17,34 +17,19 @@ namespace rigor {
 namespace vm {
 namespace {
 
-/** Observer that records event counts for assertions. */
-class RecordingObserver : public ExecutionObserver
+/** Sink that counts Dispatch records. */
+class DispatchCounter : public EventSink
 {
   public:
     void
-    onBytecode(Op op, uint32_t uops) override
+    consume(std::span<const Record> records,
+            const InterpStats &) noexcept override
     {
-        ++bytecodes;
-        totalUops += uops;
-        if (op >= Op::FirstQuickened)
-            ++quickenedBytecodes;
+        for (const Record &r : records)
+            dispatches += r.kind == Record::Kind::Dispatch;
     }
-    void onDispatch(Op) override { ++dispatches; }
-    void
-    onJitCompile(uint32_t, uint64_t cost) override
-    {
-        ++compiles;
-        compileUops += cost;
-    }
-    void onGuardFailure(Op) override { ++guardFailures; }
 
-    uint64_t bytecodes = 0;
-    uint64_t quickenedBytecodes = 0;
-    uint64_t totalUops = 0;
     uint64_t dispatches = 0;
-    uint64_t compiles = 0;
-    uint64_t compileUops = 0;
-    uint64_t guardFailures = 0;
 };
 
 /**
@@ -101,8 +86,8 @@ TEST(Threaded, QuickensEagerlyOncePerCodeObject)
 TEST(Threaded, SuperinstructionsFuseAndAccountAsOneBytecode)
 {
     Program prog = compileSource(kFusionLoop);
-    RecordingObserver obs;
-    Interp interp(prog, threadedConfig(), &obs);
+    DispatchCounter sink;
+    Interp interp(prog, threadedConfig(), &sink);
     interp.runModule();
     interp.callGlobal("run", {Value::makeInt(1000)});
 
@@ -123,10 +108,10 @@ TEST(Threaded, SuperinstructionsFuseAndAccountAsOneBytecode)
     base.callGlobal("run", {Value::makeInt(1000)});
     EXPECT_LT(st.bytecodes, base.stats().bytecodes);
     // Threaded code is still dispatched (unlike adaptive compiled
-    // code): every bytecode comes with a dispatch event.
-    EXPECT_EQ(obs.dispatches, obs.bytecodes);
-    EXPECT_GE(obs.compiles, 1u);
-    EXPECT_GT(obs.compileUops, 0u);
+    // code): every bytecode comes with a dispatch record.
+    EXPECT_EQ(sink.dispatches, st.bytecodes);
+    EXPECT_GE(st.jitCompiles, 1u);
+    EXPECT_GT(st.jitCompileUops, 0u);
 }
 
 TEST(Threaded, GuardFailureDeoptsToGenericPath)
