@@ -2,11 +2,15 @@
  * @file
  * Google-benchmark microbenchmarks of framework primitives: VM
  * dispatch rate on both tiers, dict operations, compile time, the
- * statistics kernels, and the cache/branch models. These guard
- * against performance regressions in the framework itself.
+ * statistics kernels, the cache/branch models, and the perf model
+ * replaying a recorded record stream. These guard against performance
+ * regressions in the framework itself.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <memory>
 
 #include "stats/ci.hh"
 #include "stats/descriptive.hh"
@@ -14,8 +18,10 @@
 #include "support/rng.hh"
 #include "uarch/branch.hh"
 #include "uarch/cache.hh"
+#include "uarch/perf_model.hh"
 #include "vm/compiler.hh"
 #include "vm/interp.hh"
+#include "workloads/workloads.hh"
 
 using namespace rigor;
 
@@ -169,6 +175,8 @@ BENCHMARK(BM_SteadyStateDetect)->Arg(100)->Arg(1000);
 void
 BM_CacheAccess(benchmark::State &state)
 {
+    // Uniform over 4 MB: miss-dominated, unlike the model's traffic
+    // (see BM_PerfModelReplay).
     auto h = uarch::CacheHierarchy::makeDefault();
     Rng rng(5);
     uint64_t addr = 0;
@@ -178,6 +186,57 @@ BM_CacheAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheAccess);
+
+/** Keeps every record and the VM's counters as of the last batch. */
+struct StreamRecorder final : vm::EventSink
+{
+    void
+    consume(std::span<const vm::Record> records,
+            const vm::InterpStats &s) noexcept override
+    {
+        all.insert(all.end(), records.begin(), records.end());
+        stats = s;
+    }
+
+    std::vector<vm::Record> all;
+    vm::InterpStats stats;
+};
+
+void
+BM_PerfModelReplay(benchmark::State &state)
+{
+    // The recorded stream of three full-size richards runs, replayed
+    // through a fresh model in VM-sized batches: the traffic the model
+    // serves.
+    const auto &w = workloads::findWorkload("richards");
+    vm::Program prog = vm::compileSource(w.source, w.name);
+    StreamRecorder rec;
+    {
+        vm::InterpConfig cfg;
+        cfg.captureOutput = false;
+        vm::Interp interp(prog, cfg, &rec);
+        interp.runModule();
+        for (int r = 0; r < 3; ++r)
+            interp.callGlobal("run",
+                              {vm::Value::makeInt(w.defaultSize)});
+    }
+    std::span<const vm::Record> all(rec.all);
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto model = std::make_unique<uarch::PerfModel>();
+        state.ResumeTiming();
+        for (size_t i = 0; i < all.size(); i += vm::kRecordBatch)
+            model->consume(all.subspan(i, std::min(vm::kRecordBatch,
+                                                   all.size() - i)),
+                           rec.stats);
+        benchmark::DoNotOptimize(model->snapshot().cycles);
+    }
+    // Items are bytecodes, so the rate reads as model ns/bytecode.
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(rec.stats.bytecodes));
+    state.counters["records"] = static_cast<double>(all.size());
+}
+BENCHMARK(BM_PerfModelReplay)->Unit(benchmark::kMillisecond);
 
 void
 BM_GsharePredict(benchmark::State &state)

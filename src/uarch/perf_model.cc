@@ -93,14 +93,16 @@ PerfModel::memAccess(uint64_t addr, uint32_t size, bool is_write)
     uint64_t last = (addr + (size ? size - 1 : 0)) / 64;
     for (uint64_t line = first; line <= last; ++line) {
         ++counters.l1dAccesses;
-        uint64_t before_l2 = caches.l2().misses();
-        uint64_t before_llc = caches.llc().misses();
-        uint64_t before_l1 = caches.l1().misses();
-        uint32_t latency = caches.access(line * 64);
-        counters.l1dMisses += caches.l1().misses() - before_l1;
-        counters.l2Misses += caches.l2().misses() - before_l2;
-        counters.llcMisses += caches.llc().misses() - before_llc;
-        penaltyCycles += cfg.memOverlapFactor * latency;
+        HitLevel level = caches.access(line * 64);
+        // An L1 hit adds no latency: skipping its `+= 0.0` is exact,
+        // as penaltyCycles is never -0.0. The sum stays in record
+        // order, as it is a double.
+        if (level == HitLevel::L1)
+            continue;
+        ++counters.l1dMisses;
+        counters.l2Misses += level >= HitLevel::Llc;
+        counters.llcMisses += level == HitLevel::Dram;
+        penaltyCycles += cfg.memOverlapFactor * caches.latency(level);
     }
 }
 

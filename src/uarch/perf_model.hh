@@ -7,7 +7,9 @@
  *
  * The timing model is additive: committed micro-ops retire at the
  * machine's issue width; branch/dispatch mispredictions and cache
- * misses add penalty cycles on top. Memory-level parallelism is
+ * misses add penalty cycles on top. Each data line goes to the cache
+ * hierarchy, which answers with the level that hit; the miss counters
+ * and the latency follow from that level. Memory-level parallelism is
  * modelled by scaling miss latency with an overlap factor, as a stand
  * -in for out-of-order overlap.
  */

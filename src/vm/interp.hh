@@ -359,9 +359,6 @@ bool getBuiltinTypeMethod(Interp &interp, const Value &receiver,
 /** Base micro-op cost of an opcode (excluding dispatch overhead). */
 uint32_t opBaseUops(Op op);
 
-/** Micro-op overhead of one interpreter dispatch. */
-constexpr uint32_t kDispatchUops = 6;
-
 } // namespace vm
 } // namespace rigor
 

@@ -76,15 +76,26 @@ TEST(Cache, BadGeometryPanics)
 {
     EXPECT_THROW(Cache({1000, 60, 2}), PanicError);
     EXPECT_THROW(Cache({1024, 64, 0}), PanicError);
+    // lineBytes * ways is 2^32: a 32-bit product would wrap to zero.
+    EXPECT_THROW(Cache({1024, 64, 1u << 26}), PanicError);
+    EXPECT_THROW(Cache({1024, 64, 32}), PanicError);
+    // A 1-byte line would make address ~0 the empty-way tag.
+    EXPECT_THROW(Cache({1024, 1, 2}), PanicError);
+    Cache two({1024, 2, 2});
+    EXPECT_FALSE(two.access(~uint64_t{0}));
+    EXPECT_TRUE(two.access(~uint64_t{0} - 1));
 }
 
 TEST(CacheHierarchyTest, LatencyIncreasesDownTheHierarchy)
 {
     auto h = CacheHierarchy::makeDefault();
-    uint32_t first = h.access(0x1000);     // cold: DRAM
-    uint32_t second = h.access(0x1000);    // L1 hit
-    EXPECT_GT(first, 100u);
-    EXPECT_EQ(second, 0u);
+    EXPECT_EQ(h.access(0x1000), HitLevel::Dram);    // cold
+    EXPECT_EQ(h.access(0x1000), HitLevel::L1);
+    EXPECT_EQ(h.latency(HitLevel::L1), 0u);
+    EXPECT_LT(h.latency(HitLevel::L1), h.latency(HitLevel::L2));
+    EXPECT_LT(h.latency(HitLevel::L2), h.latency(HitLevel::Llc));
+    EXPECT_LT(h.latency(HitLevel::Llc), h.latency(HitLevel::Dram));
+    EXPECT_GT(h.latency(HitLevel::Dram), 100u);
 }
 
 TEST(CacheHierarchyTest, L2CatchesL1Evictions)
